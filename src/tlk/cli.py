@@ -144,6 +144,7 @@ def _stats_json(stats: EvalStats) -> dict:
     return {
         "nodes": stats.nodes,
         "splits": stats.splits,
+        "hooks": stats.hooks,
         "alternations": stats.alternations,
     }
 
@@ -310,7 +311,12 @@ def _report_sat(args, outcome, stats: EvalStats) -> int:
         }
         _emit(args, payload, f"unsat up to domain {outcome.max_domain}")
         return EXIT_FALSE
-    assert isinstance(outcome, ResourceExhausted)
+    return _report_exhausted(args, outcome)
+
+
+def _report_exhausted(args, outcome) -> int:
+    if not isinstance(outcome, ResourceExhausted):
+        raise TypeError(f"unexpected search outcome {outcome!r}")
     payload = {"verdict": "resource-exhausted", "detail": outcome.detail}
     _emit(args, payload, f"resource exhausted: {outcome.detail}")
     return EXIT_RESOURCE
@@ -346,10 +352,7 @@ def _cmd_valid(args) -> int:
         }
         _emit(args, payload, f"counterexample\n{witness_text}")
         return EXIT_FALSE
-    assert isinstance(outcome, ResourceExhausted)
-    payload = {"verdict": "resource-exhausted", "detail": outcome.detail}
-    _emit(args, payload, f"resource exhausted: {outcome.detail}")
-    return EXIT_RESOURCE
+    return _report_exhausted(args, outcome)
 
 
 def _cmd_reduce(args) -> int:

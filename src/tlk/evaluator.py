@@ -138,28 +138,38 @@ def _nonempty_subsets(domain_size: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Team semantics over first-order structures
+# The evaluator core shared by first-order and modal team semantics
 
 
-class _TeamEvaluator:
-    def __init__(self, structure, budget, stats, localize, memo):
-        self.structure = structure
+class _Evaluator:
+    """Memo, budget and node counting around each subformula evaluation,
+    plus the splitjunction clause.  Subclasses give the flatness test
+    (``_is_flat``), the remaining clauses (``_eval_inner``), a team's
+    rows in a fixed order (``_rows``) and the team made of some of them
+    (``_team``)."""
+
+    localize = False
+
+    def __init__(self, budget, stats, memo):
         self.budget = budget
         self.stats = stats
-        self.localize = localize
         self.memo_enabled = memo
-        self.memo: dict[tuple[int, Team], bool] = {}
-        self.subsets = _nonempty_subsets(structure.domain_size)
-        self.fr: dict[int, frozenset[str]] = {}
+        self.memo: dict = {}
         self.flat: dict[int, bool] = {}
+        self.fr: dict[int, frozenset[str]] = {}
 
     def prepare(self, phi: S.Formula) -> None:
         for node in S.walk(phi):
-            if id(node) not in self.fr:
-                self.fr[id(node)] = S.free_vars(node)
-                self.flat[id(node)] = S.is_fo(node)
+            if id(node) not in self.flat:
+                self.flat[id(node)] = self._is_flat(node)
+                if self.localize:
+                    self.fr[id(node)] = S.free_vars(node)
 
-    def eval(self, team: Team, phi: S.Formula) -> bool:
+    def charge(self) -> None:
+        if self.budget is not None:
+            self.budget.charge()
+
+    def eval(self, team, phi: S.Formula) -> bool:
         if self.localize:
             team = team_restrict(team, self.fr[id(phi)])
         key = (id(phi), team)
@@ -172,6 +182,39 @@ class _TeamEvaluator:
         if self.memo_enabled:
             self.memo[key] = out
         return out
+
+    def _eval_split(self, team, left: S.Formula, right: S.Formula) -> bool:
+        """Try every cover T = S u U, one of three sides per row."""
+        rows = self._rows(team)
+        for shape in itertools.product((0, 1, 2), repeat=len(rows)):
+            self.charge()
+            self.stats.splits += 1
+            if self.eval(
+                self._team(team, [r for r, side in zip(rows, shape) if side != 1]), left
+            ) and self.eval(
+                self._team(team, [r for r, side in zip(rows, shape) if side != 0]), right
+            ):
+                return True
+        return False
+
+
+# ---------------------------------------------------------------------------
+# Team semantics over first-order structures
+
+
+class _TeamEvaluator(_Evaluator):
+    _is_flat = staticmethod(S.is_fo)
+    _rows = staticmethod(Team.sorted_rows)
+
+    def __init__(self, structure, budget, stats, localize, memo):
+        super().__init__(budget, stats, memo)
+        self.structure = structure
+        self.localize = localize
+        self.subsets = _nonempty_subsets(structure.domain_size)
+
+    @staticmethod
+    def _team(team: Team, rows) -> Team:
+        return Team(team.domain, frozenset(rows))
 
     def _eval_inner(self, team: Team, phi: S.Formula) -> bool:
         A = self.structure
@@ -197,25 +240,10 @@ class _TeamEvaluator:
             return self.eval(duplicate(team, phi.var, A.domain_size), phi.body)
         raise ValueError(f"not a team-logic formula: {S.format_formula(phi)}")
 
-    def _eval_split(self, team: Team, left: S.Formula, right: S.Formula) -> bool:
-        rows = team.sorted_rows()
-        for shape in itertools.product((0, 1, 2), repeat=len(rows)):
-            if self.budget is not None:
-                self.budget.charge()
-            self.stats.splits += 1
-            s_rows = frozenset(r for r, side in zip(rows, shape) if side != 1)
-            u_rows = frozenset(r for r, side in zip(rows, shape) if side != 0)
-            if self.eval(Team(team.domain, s_rows), left) and self.eval(
-                Team(team.domain, u_rows), right
-            ):
-                return True
-        return False
-
     def _eval_exists(self, team: Team, phi: S.Exists) -> bool:
         rows = team.sorted_rows()
         for choice in itertools.product(self.subsets, repeat=len(rows)):
-            if self.budget is not None:
-                self.budget.charge()
+            self.charge()
             supplemented = supplement(team, phi.var, dict(zip(rows, choice)))
             if self.eval(supplemented, phi.body):
                 return True
@@ -319,30 +347,17 @@ def eval_ml(kripke: KripkeStructure, world: int, phi: S.Formula) -> bool:
     raise ValueError(f"not a classical modal formula: {S.format_formula(phi)}")
 
 
-class _ModalEvaluator:
+class _ModalEvaluator(_Evaluator):
+    _is_flat = staticmethod(S.is_ml)
+    _rows = staticmethod(sorted)
+
     def __init__(self, kripke, budget, stats, memo):
+        super().__init__(budget, stats, memo)
         self.kripke = kripke
-        self.budget = budget
-        self.stats = stats
-        self.memo_enabled = memo
-        self.memo: dict[tuple[int, frozenset[int]], bool] = {}
-        self.flat: dict[int, bool] = {}
 
-    def prepare(self, phi: S.Formula) -> None:
-        for node in S.walk(phi):
-            self.flat[id(node)] = S.is_ml(node)
-
-    def eval(self, team: frozenset[int], phi: S.Formula) -> bool:
-        key = (id(phi), team)
-        if self.memo_enabled and key in self.memo:
-            return self.memo[key]
-        if self.budget is not None:
-            self.budget.charge()
-        self.stats.nodes += 1
-        out = self._eval_inner(team, phi)
-        if self.memo_enabled:
-            self.memo[key] = out
-        return out
+    @staticmethod
+    def _team(team: frozenset[int], worlds) -> frozenset[int]:
+        return frozenset(worlds)
 
     def _eval_inner(self, team: frozenset[int], phi: S.Formula) -> bool:
         K = self.kripke
@@ -361,18 +376,6 @@ class _ModalEvaluator:
         if isinstance(phi, S.Box):
             return self.eval(K.image(team), phi.body)
         raise ValueError(f"not a modal team formula: {S.format_formula(phi)}")
-
-    def _eval_split(self, team: frozenset[int], left, right) -> bool:
-        worlds = sorted(team)
-        for shape in itertools.product((0, 1, 2), repeat=len(worlds)):
-            if self.budget is not None:
-                self.budget.charge()
-            self.stats.splits += 1
-            s_part = frozenset(w for w, side in zip(worlds, shape) if side != 1)
-            u_part = frozenset(w for w, side in zip(worlds, shape) if side != 0)
-            if self.eval(s_part, left) and self.eval(u_part, right):
-                return True
-        return False
 
 
 def eval_mtl(

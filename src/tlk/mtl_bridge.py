@@ -78,23 +78,13 @@ def standard_translation(phi: S.Formula, var: str = "x") -> S.Formula:
 def _st(phi: S.Formula, v: str, mapping: dict[str, str]) -> S.Formula:
     if isinstance(phi, S.Prop):
         return S.Pred(mapping[phi.name], (S.Var(v),))
-    if isinstance(phi, (S.Top, S.Bot)):
-        return phi
-    if isinstance(phi, S.Not):
-        return S.Not(_st(phi.body, v, mapping))
-    if isinstance(phi, S.BoolNot):
-        return S.BoolNot(_st(phi.body, v, mapping))
-    if isinstance(phi, S.And):
-        return S.And(_st(phi.left, v, mapping), _st(phi.right, v, mapping))
-    if isinstance(phi, S.Or):
-        return S.Or(_st(phi.left, v, mapping), _st(phi.right, v, mapping))
-    o = _other(v)
-    edge = S.Pred(EDGE_REL, (S.Var(v), S.Var(o)))
-    if isinstance(phi, S.Diamond):
-        return S.Exists(o, S.And(edge, _st(phi.body, o, mapping)))
-    if isinstance(phi, S.Box):
+    if isinstance(phi, (S.Diamond, S.Box)):
+        o = _other(v)
+        edge = S.Pred(EDGE_REL, (S.Var(v), S.Var(o)))
+        if isinstance(phi, S.Diamond):
+            return S.Exists(o, S.And(edge, _st(phi.body, o, mapping)))
         return S.Forall(o, S.Or(S.Not(edge), S.And(edge, _st(phi.body, o, mapping))))
-    raise ValueError(f"not a modal team formula: {S.format_formula(phi)}")
+    return S.map_children(phi, lambda c: _st(c, v, mapping))
 
 
 def kripke_vocabulary(props) -> Vocabulary:
@@ -235,14 +225,6 @@ def subst_props_fo(phi: S.Formula, mapping: dict[str, S.Formula]) -> S.Formula:
             return mapping[phi.name]
         except KeyError:
             raise ValueError(f"no replacement for proposition {phi.name!r}") from None
-    if isinstance(phi, S.Not):
-        return S.Not(subst_props_fo(phi.body, mapping))
-    if isinstance(phi, S.BoolNot):
-        return S.BoolNot(subst_props_fo(phi.body, mapping))
-    if isinstance(phi, S.And):
-        return S.And(subst_props_fo(phi.left, mapping), subst_props_fo(phi.right, mapping))
-    if isinstance(phi, S.Or):
-        return S.Or(subst_props_fo(phi.left, mapping), subst_props_fo(phi.right, mapping))
-    if isinstance(phi, (S.Top, S.Bot)):
-        return phi
-    raise ValueError(f"not a modality-free team formula: {S.format_formula(phi)}")
+    if not isinstance(phi, (S.Not, S.BoolNot, S.And, S.Or, S.Top, S.Bot)):
+        raise ValueError(f"not a modality-free team formula: {S.format_formula(phi)}")
+    return S.map_children(phi, lambda c: subst_props_fo(c, mapping))

@@ -170,18 +170,10 @@ def dnf_expand(phi: S.Formula, size_budget: int | None = None) -> DNF:
 # The nine laws, applicable at the root in either direction
 
 
-def _and_chain(phi: S.Formula) -> list[S.Formula]:
+def _chain(cls: type, phi: S.Formula) -> list[S.Formula]:
+    """The operands of a left-associated chain of cls nodes, in order."""
     out = []
-    while isinstance(phi, S.And):
-        out.append(phi.right)
-        phi = phi.left
-    out.append(phi)
-    return out[::-1]
-
-
-def _or_chain(phi: S.Formula) -> list[S.Formula]:
-    out = []
-    while isinstance(phi, S.Or):
+    while isinstance(phi, cls):
         out.append(phi.right)
         phi = phi.left
     out.append(phi)
@@ -191,7 +183,7 @@ def _or_chain(phi: S.Formula) -> list[S.Formula]:
 def _law1(phi: S.Formula, forward: bool) -> S.Formula | None:
     if forward:
         # a & NE b_1 & ... & NE b_n  ->  (a & NE b_1) | ... | (a & NE b_n)
-        chain = _and_chain(phi)
+        chain = _chain(S.And, phi)
         if len(chain) < 2:
             return None
         alpha, es = chain[0], chain[1:]
@@ -202,7 +194,7 @@ def _law1(phi: S.Formula, forward: bool) -> S.Formula | None:
             return None
         return S.or_all([S.And(alpha, S.mk_e(b)) for b in betas])
     parts = []
-    for item in _or_chain(phi):
+    for item in _chain(S.Or, phi):
         if not isinstance(item, S.And):
             return None
         beta = S.as_e(item.right)
@@ -218,7 +210,7 @@ def _law1(phi: S.Formula, forward: bool) -> S.Formula | None:
 def _law2(phi: S.Formula, forward: bool) -> S.Formula | None:
     if forward:
         # (a_1 & NE b_1) | ... -> (a_1 | ...) & NE (a_1 & b_1) & ...
-        chain = _or_chain(phi)
+        chain = _chain(S.Or, phi)
         parts = []
         for item in chain:
             if not isinstance(item, S.And):
@@ -231,10 +223,10 @@ def _law2(phi: S.Formula, forward: bool) -> S.Formula | None:
             [S.or_all([a for a, _ in parts])]
             + [S.mk_e(S.And(a, b)) for a, b in parts]
         )
-    chain = _and_chain(phi)
+    chain = _chain(S.And, phi)
     if len(chain) < 2:
         return None
-    alphas = _or_chain(chain[0])
+    alphas = _chain(S.Or, chain[0])
     es = chain[1:]
     if len(alphas) != len(es):
         return None

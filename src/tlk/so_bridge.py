@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 from . import syntax as S
 from .evaluator import Budget, EvalStats
-from .structures import Structure, Team, team_image
+from .structures import (
+    Structure,
+    Team,
+    _content_lines,
+    _parse_int,
+    _table_declaration,
+    team_image,
+)
 from .syntax import ParseError, SparseBound
 
 
@@ -132,45 +139,23 @@ def team_relation(structure: Structure, team: Team, variables) -> RelValue:
 def parse_so_assignment(text: str) -> SOAssignment:
     """Parse an assignment file: ``elem x 1``, ``rel X 2 { (0,1) (1,0) }``,
     ``fun f 1 { (0)->1 (1)->0 }``; ``#`` comments."""
-    from .structures import _block_body, _parse_int_tuples  # shared plumbing
-
     entries: dict[str, Value] = {}
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = _content_lines(text)
     i = 0
     while i < len(lines):
         lineno, line = lines[i]
         head = line.split()
         if head[0] == "elem" and len(head) == 3:
-            entries[head[1]] = int(head[2])
-            i += 1
-        elif head[0] == "rel" and len(head) >= 3:
-            name, arity = head[1], int(head[2])
-            body, _, i_end = _block_body(lines, i, line[: line.find("{")])
-            tuples = _parse_int_tuples(body, lineno)
-            if any(len(t) != arity for t in tuples):
-                raise ParseError(f"tuple of wrong arity in rel {name!r}", lineno, 1)
-            entries[name] = RelValue.of(arity, tuples)
-            i = i_end + 1
-        elif head[0] == "fun" and len(head) >= 3:
-            name, arity = head[1], int(head[2])
-            body, _, i_end = _block_body(lines, i, line[: line.find("{")])
-            import re as _re
-
-            table = {}
-            for entry in _re.finditer(r"\(([^()]*)\)\s*->\s*(\d+)", body):
-                inner = entry.group(1).strip()
-                args = tuple(int(p) for p in inner.split(",")) if inner else ()
-                if len(args) != arity:
-                    raise ParseError(f"entry of wrong arity in fun {name!r}", lineno, 1)
-                table[args] = int(entry.group(2))
-            entries[name] = FunValue.of(arity, table)
-            i = i_end + 1
+            entries[head[1]] = _parse_int(head[2], "element", lineno)
+        elif head[0] in ("rel", "fun"):
+            name, arity, table, i = _table_declaration(lines, i)
+            if arity is None:
+                raise ParseError(f"{head[0]} {name!r} needs an arity", lineno, 1)
+            value = RelValue.of if head[0] == "rel" else FunValue.of
+            entries[name] = value(arity, table)
         else:
             raise ParseError(f"unrecognised assignment line {line!r}", lineno, 1)
+        i += 1
     return SOAssignment.of(entries)
 
 
@@ -184,6 +169,11 @@ def to_nnf(phi: S.Formula) -> S.Formula:
 
 
 def _nnf(phi: S.Formula, positive: bool) -> S.Formula:
+    dual = S.DUALS.get(type(phi))
+    if dual is not None:  # under a negation a connective or quantifier turns into its dual
+        return S.map_children(
+            phi, lambda c: _nnf(c, positive), type(phi) if positive else dual
+        )
     if isinstance(phi, (S.Pred, S.Eq, S.RelApp)):
         return phi if positive else S.Not(phi)
     if isinstance(phi, S.Top):
@@ -192,12 +182,6 @@ def _nnf(phi: S.Formula, positive: bool) -> S.Formula:
         return S.BOT if positive else S.TOP
     if isinstance(phi, S.Not):
         return _nnf(phi.body, not positive)
-    if isinstance(phi, S.And):
-        l, r = _nnf(phi.left, positive), _nnf(phi.right, positive)
-        return S.And(l, r) if positive else S.Or(l, r)
-    if isinstance(phi, S.Or):
-        l, r = _nnf(phi.left, positive), _nnf(phi.right, positive)
-        return S.Or(l, r) if positive else S.And(l, r)
     if isinstance(phi, S.Implies):
         if positive:
             return S.Or(_nnf(phi.left, False), _nnf(phi.right, True))
@@ -212,50 +196,6 @@ def _nnf(phi: S.Formula, positive: bool) -> S.Formula:
             S.And(_nnf(phi.left, True), _nnf(phi.right, False)),
             S.And(_nnf(phi.right, True), _nnf(phi.left, False)),
         )
-    if isinstance(phi, S.Exists):
-        body = _nnf(phi.body, positive)
-        return S.Exists(phi.var, body) if positive else S.Forall(phi.var, body)
-    if isinstance(phi, S.Forall):
-        body = _nnf(phi.body, positive)
-        return S.Forall(phi.var, body) if positive else S.Exists(phi.var, body)
-    if isinstance(phi, S.ExistsRel):
-        body = _nnf(phi.body, positive)
-        return (
-            S.ExistsRel(phi.name, phi.arity, body)
-            if positive
-            else S.ForallRel(phi.name, phi.arity, body)
-        )
-    if isinstance(phi, S.ForallRel):
-        body = _nnf(phi.body, positive)
-        return (
-            S.ForallRel(phi.name, phi.arity, body)
-            if positive
-            else S.ExistsRel(phi.name, phi.arity, body)
-        )
-    if isinstance(phi, S.ExistsFun):
-        body = _nnf(phi.body, positive)
-        return (
-            S.ExistsFun(phi.name, phi.arity, body)
-            if positive
-            else S.ForallFun(phi.name, phi.arity, body)
-        )
-    if isinstance(phi, S.ForallFun):
-        body = _nnf(phi.body, positive)
-        return (
-            S.ForallFun(phi.name, phi.arity, body)
-            if positive
-            else S.ExistsFun(phi.name, phi.arity, body)
-        )
-    if isinstance(phi, S.ExistsRelSparse):
-        body = _nnf(phi.body, positive)
-        if positive:
-            return S.ExistsRelSparse(phi.name, phi.arity, phi.bound, body)
-        return S.ForallRelSparse(phi.name, phi.arity, phi.bound, body)
-    if isinstance(phi, S.ForallRelSparse):
-        body = _nnf(phi.body, positive)
-        if positive:
-            return S.ForallRelSparse(phi.name, phi.arity, phi.bound, body)
-        return S.ExistsRelSparse(phi.name, phi.arity, phi.bound, body)
     raise ValueError(f"not a second-order formula: {S.format_formula(phi)}")
 
 
@@ -585,10 +525,10 @@ def _eta(phi: S.Formula, xs: tuple[str, ...], rel: str, fresh: _FreshRels) -> S.
         fix_s = S.forall_all(zs, S.Iff(_rel_app(sname, zs), membership))
         delta_s = S.subst_pred_by_relvar(phi.dep.delta, "P", sname)
         return S.ExistsRel(sname, k, S.And(fix_s, delta_s))
-    if isinstance(phi, S.BoolNot):
-        return S.Not(_eta(phi.body, xs, rel, fresh))
-    if isinstance(phi, S.And):
-        return S.And(_eta(phi.left, xs, rel, fresh), _eta(phi.right, xs, rel, fresh))
+    if isinstance(phi, (S.BoolNot, S.And)):
+        # ~ becomes classical negation, & stays conjunction
+        cls = S.Not if isinstance(phi, S.BoolNot) else S.And
+        return S.map_children(phi, lambda c: _eta(c, xs, rel, fresh), cls)
     if isinstance(phi, S.Or):
         sname = fresh.next()
         uname = fresh.next()
@@ -608,7 +548,7 @@ def _eta(phi: S.Formula, xs: tuple[str, ...], rel: str, fresh: _FreshRels) -> S.
                 ),
             ),
         )
-    if isinstance(phi, S.Exists):
+    if isinstance(phi, (S.Exists, S.Forall)):
         y = phi.var
         xsy = _extend(xs, y)
         sname = fresh.next()
@@ -619,28 +559,13 @@ def _eta(phi: S.Formula, xs: tuple[str, ...], rel: str, fresh: _FreshRels) -> S.
                 S.Exists(y, _rel_app(sname, xsy)),
             ),
         )
-        return S.ExistsRel(
-            sname, len(xsy), S.And(same_rest, _eta(phi.body, xsy, sname, fresh))
-        )
-    if isinstance(phi, S.Forall):
-        y = phi.var
-        xsy = _extend(xs, y)
-        sname = fresh.next()
-        same_rest = S.forall_all(
-            xs,
-            S.Iff(
-                S.Exists(y, _rel_app(rel, xs)),
-                S.Exists(y, _rel_app(sname, xsy)),
-            ),
-        )
-        everywhere = S.forall_all(
-            xs, S.Implies(_rel_app(rel, xs), S.Forall(y, _rel_app(sname, xsy)))
-        )
-        return S.ExistsRel(
-            sname,
-            len(xsy),
-            S.And(S.And(same_rest, _eta(phi.body, xsy, sname, fresh)), everywhere),
-        )
+        body = S.And(same_rest, _eta(phi.body, xsy, sname, fresh))
+        if isinstance(phi, S.Forall):
+            everywhere = S.forall_all(
+                xs, S.Implies(_rel_app(rel, xs), S.Forall(y, _rel_app(sname, xsy)))
+            )
+            body = S.And(body, everywhere)
+        return S.ExistsRel(sname, len(xsy), body)
     raise ValueError(f"not a team-logic formula: {S.format_formula(phi)}")
 
 
@@ -678,21 +603,7 @@ def _sparsify(phi: S.Formula, bound: SparseBound) -> S.Formula:
         return S.ExistsRelSparse(phi.name, phi.arity, bound, _sparsify(phi.body, bound))
     if isinstance(phi, S.ForallRel):
         return S.ForallRelSparse(phi.name, phi.arity, bound, _sparsify(phi.body, bound))
-    if isinstance(phi, S.Not):
-        return S.Not(_sparsify(phi.body, bound))
-    if isinstance(phi, S.And):
-        return S.And(_sparsify(phi.left, bound), _sparsify(phi.right, bound))
-    if isinstance(phi, S.Or):
-        return S.Or(_sparsify(phi.left, bound), _sparsify(phi.right, bound))
-    if isinstance(phi, S.Implies):
-        return S.Implies(_sparsify(phi.left, bound), _sparsify(phi.right, bound))
-    if isinstance(phi, S.Iff):
-        return S.Iff(_sparsify(phi.left, bound), _sparsify(phi.right, bound))
-    if isinstance(phi, S.Exists):
-        return S.Exists(phi.var, _sparsify(phi.body, bound))
-    if isinstance(phi, S.Forall):
-        return S.Forall(phi.var, _sparsify(phi.body, bound))
-    return phi
+    return S.map_children(phi, lambda c: _sparsify(c, bound))
 
 
 def sufficient_bound(phi: S.Formula, xs=None, team_size: int | None = None) -> SparseBound:

@@ -63,6 +63,17 @@ class ResourceExhausted:
     detail: str
 
 
+class WitnessCheckFailed(RuntimeError):
+    """A witness the search found did not pass its independent re-check."""
+
+
+def _verified(structure: Structure, team: Team, phi: S.Formula) -> Satisfiable:
+    """Re-check a witness with a fresh evaluator call before reporting it."""
+    if not eval_team(structure, team, phi):
+        raise WitnessCheckFailed("witness failed re-verification")
+    return Satisfiable(structure, team)
+
+
 def _require_searchable(phi: S.Formula, vocab: Vocabulary) -> None:
     S.check_language(phi, "team")
     if vocab.functions:
@@ -123,8 +134,7 @@ def sat_bounded(
             for structure in _structures(vocab, n, budget):
                 for team in _teams(variables, n, budget):
                     if eval_team(structure, team, phi, budget, stats=stats):
-                        assert eval_team(structure, team, phi), "witness failed re-verification"
-                        return Satisfiable(structure, team)
+                        return _verified(structure, team, phi)
     except BudgetExceeded as exc:
         return ResourceExhausted(str(exc))
     return UnsatUpTo(max_domain)
@@ -176,10 +186,7 @@ def sat_fo2(
         for d in dnf.disjuncts:
             if not d.betas:
                 # The empty team satisfies the bare flat disjunct.
-                structure = _minimal_structure(vocab)
-                team = Team.empty(variables)
-                assert eval_team(structure, team, phi), "witness failed re-verification"
-                return Satisfiable(structure, team)
+                return _verified(_minimal_structure(vocab), Team.empty(variables), phi)
         for n in range(1, model_bound + 1):
             for structure in _structures(vocab, n, budget):
                 for disjunct, gamma in zip(dnf.disjuncts, gammas):
@@ -187,8 +194,7 @@ def sat_fo2(
                         budget.charge()
                     if eval_fo(structure, EMPTY_ASSIGNMENT, gamma):
                         team = _witness_team(structure, disjunct, variables)
-                        assert eval_team(structure, team, phi), "witness failed re-verification"
-                        return Satisfiable(structure, team)
+                        return _verified(structure, team, phi)
     except BudgetExceeded as exc:
         return ResourceExhausted(str(exc))
     return UnsatUpTo(model_bound)
@@ -216,6 +222,6 @@ def _witness_team(structure: Structure, disjunct: Disjunct, variables) -> Team:
             if found is not None:
                 break
         if found is None:
-            raise AssertionError("gamma held but a witness row is missing")
+            raise WitnessCheckFailed("gamma held but a witness row is missing")
         rows.append(found.restrict(variables))
     return Team(tuple(variables), frozenset(rows))

@@ -85,11 +85,11 @@ EMPTY_ASSIGNMENT = Assignment(())
 class Team:
     """A set of assignments over a common variable domain.
 
-    ``domain`` lists the variables every member assigns (sorted); the
-    empty team keeps its domain, which is how it stays distinct from
-    the singleton team of the empty assignment when the domain is
-    nonempty... with domain () the two are genuinely different objects
-    too: Team((), frozenset()) vs Team((), {EMPTY_ASSIGNMENT}).
+    ``domain`` lists the variables every member assigns (sorted).  The
+    empty team keeps its domain, so ``Team.empty(("x",))`` and
+    ``Team.empty()`` differ.  Over the empty domain the empty team
+    ``Team.empty()`` and ``Team.unit()``, the team of the empty
+    assignment, are different teams too.
     """
 
     domain: tuple[str, ...]
@@ -360,6 +360,7 @@ def successor_teams(kripke: KripkeStructure, team: frozenset[int], budget=None):
 
 
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
+_FUN_ENTRY_RE = re.compile(r"\(([^()]*)\)\s*->\s*(\d+)")
 
 
 @dataclass
@@ -384,21 +385,60 @@ class ModelFile:
             raise KeyError(f"no Kripke block {name!r} in the model file") from None
 
 
+def _parse_int(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}", lineno, 1) from None
+
+
+def _int_tuple(inner: str, lineno: int) -> tuple[int, ...]:
+    inner = inner.strip()
+    if not inner:
+        return ()
+    try:
+        return tuple(map(int, inner.split(",")))
+    except ValueError:
+        raise ParseError(f"bad tuple ({inner})", lineno, 1) from None
+
+
 def _parse_int_tuples(text: str, lineno: int) -> list[tuple[int, ...]]:
     stripped = _TUPLE_RE.sub("", text).strip()
     if stripped:
         raise ParseError(f"stray text {stripped!r} in tuple list", lineno, 1)
-    out = []
-    for m in _TUPLE_RE.finditer(text):
-        inner = m.group(1).strip()
-        if not inner:
-            out.append(())
-            continue
-        try:
-            out.append(tuple(int(p) for p in inner.split(",")))
-        except ValueError:
-            raise ParseError(f"bad tuple ({inner})", lineno, 1) from None
-    return out
+    return [_int_tuple(m.group(1), lineno) for m in _TUPLE_RE.finditer(text)]
+
+
+def _table_declaration(lines: list[tuple[int, str]], i: int):
+    """Read ``rel NAME [ARITY] { (a,b) ... }`` or ``fun NAME [ARITY] {
+    (a,b)->v ... }`` starting on line i.
+
+    Returns the name, the arity (None when omitted), the tuple list or
+    the function table, and the index of the block's last line.  Stray
+    text and rows of another arity than the declared one are errors.
+    """
+    lineno, line = lines[i]
+    brace = line.find("{")
+    header = line[:brace] if brace >= 0 else line
+    head = header.split()
+    if len(head) not in (2, 3):
+        raise ParseError(f"expected '{head[0]} NAME [ARITY] {{ ... }}'", lineno, 1)
+    kind, name = head[0], head[1]
+    arity = _parse_int(head[2], "arity", lineno) if len(head) == 3 else None
+    body, _, i_end = _block_body(lines, i, header)
+    if kind == "rel":
+        table = _parse_int_tuples(body, lineno)
+    else:
+        leftover = _FUN_ENTRY_RE.sub("", body).strip()
+        if leftover:
+            raise ParseError(f"stray text {leftover!r} in function block", lineno, 1)
+        table = {
+            _int_tuple(m.group(1), lineno): int(m.group(2))
+            for m in _FUN_ENTRY_RE.finditer(body)
+        }
+    if arity is not None and any(len(t) != arity for t in table):
+        raise ParseError(f"entry of wrong arity in {kind} {name!r}", lineno, 1)
+    return name, arity, table, i_end
 
 
 def _block_body(lines: list[tuple[int, str]], i: int, after: str) -> tuple[str, int, int]:
@@ -429,13 +469,19 @@ def _block_body(lines: list[tuple[int, str]], i: int, after: str) -> tuple[str, 
             raise ParseError("unterminated '{' block", lineno, 1)
 
 
-def parse_model_file(text: str) -> ModelFile:
-    """Parse a model file (structure, named teams, Kripke blocks)."""
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """Numbered nonblank lines with ``#`` comments removed."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append((lineno, line))
+    return lines
+
+
+def parse_model_file(text: str) -> ModelFile:
+    """Parse a model file (structure, named teams, Kripke blocks)."""
+    lines = _content_lines(text)
 
     domain_size: int | None = None
     relations: dict[str, frozenset] = {}
@@ -457,34 +503,16 @@ def parse_model_file(text: str) -> ModelFile:
         head = line.split()
         kind = head[0]
         if kind == "domain" and len(head) == 2:
-            try:
-                domain_size = int(head[1])
-            except ValueError:
-                raise ParseError(f"bad domain size {head[1]!r}", lineno, 1) from None
+            domain_size = _parse_int(head[1], "domain size", lineno)
             i += 1
-        elif kind == "rel" and len(head) >= 2:
-            rel_name = head[1]
-            after = f"rel {rel_name}"
-            if len(head) >= 3 and head[2].isdigit() and "{" not in head[2]:
-                arities[rel_name] = int(head[2])
-                after = line[: line.find("{")] if "{" in line else line
-            body, _, i_end = _block_body(lines, i, after)
-            relations[rel_name] = frozenset(_parse_int_tuples(body, lineno))
-            i = i_end + 1
-        elif kind == "fun" and len(head) >= 2:
-            fun_name = head[1]
-            if len(head) >= 3 and head[2].isdigit() and "{" not in head[2]:
-                arities[fun_name] = int(head[2])
-            body, _, i_end = _block_body(lines, i, f"fun {fun_name}")
-            table = {}
-            for entry in re.finditer(r"\(([^()]*)\)\s*->\s*(\d+)", body):
-                inner = entry.group(1).strip()
-                args = tuple(int(p) for p in inner.split(",")) if inner else ()
-                table[args] = int(entry.group(2))
-            leftover = re.sub(r"\(([^()]*)\)\s*->\s*(\d+)", "", body).strip()
-            if leftover:
-                raise ParseError(f"stray text {leftover!r} in function block", lineno, 1)
-            functions[fun_name] = table
+        elif kind in ("rel", "fun"):
+            name, arity, table, i_end = _table_declaration(lines, i)
+            if arity is not None:
+                arities[name] = arity
+            if kind == "rel":
+                relations[name] = frozenset(table)
+            else:
+                functions[name] = table
             i = i_end + 1
         elif kind == "team":
             varstop = line.find("{")
@@ -510,10 +538,7 @@ def parse_model_file(text: str) -> ModelFile:
                 )
             i = i_end + 1
         elif kind == "kripke" and len(head) >= 2:
-            try:
-                worlds = int(head[1])
-            except ValueError:
-                raise ParseError(f"bad world count {head[1]!r}", lineno, 1) from None
+            worlds = _parse_int(head[1], "world count", lineno)
             body, _, i_end = _block_body(lines, i, f"kripke {head[1]}")
             kname = name_prefix or "K"
             kripkes[kname], kripke_teams[kname] = _parse_kripke_body(body, worlds, lineno)

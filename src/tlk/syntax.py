@@ -135,6 +135,11 @@ class SparseBound:
             nums = [int(p) for p in rest.split(",")]
         except ValueError:
             raise ValueError(f"bad sparse bound {text!r}") from None
+        return cls.of_kind(kind, nums)
+
+    @classmethod
+    def of_kind(cls, kind: str, nums) -> "SparseBound":
+        """The bound ``poly`` or ``scaled`` with the given numbers."""
         if kind == "poly":
             return cls.polynomial(nums)
         if kind == "scaled":
@@ -323,7 +328,26 @@ class ForallRelSparse(Formula):
 _UNARY = (Not, BoolNot, Diamond, Box)
 _BINARY = (And, Or, Implies, Iff)
 _FO_QUANT = (Exists, Forall)
-_SO_QUANT = (ExistsRel, ForallRel, ExistsFun, ForallFun, ExistsRelSparse, ForallRelSparse)
+_SPARSE_QUANT = (ExistsRelSparse, ForallRelSparse)
+_SO_QUANT = (ExistsRel, ForallRel, ExistsFun, ForallFun) + _SPARSE_QUANT
+
+# The dual of each connective and quantifier under classical negation.
+_DUAL_PAIRS = (
+    (And, Or), (Exists, Forall), (ExistsRel, ForallRel), (ExistsFun, ForallFun),
+    (ExistsRelSparse, ForallRelSparse),
+)
+DUALS = {**dict(_DUAL_PAIRS), **{b: a for a, b in _DUAL_PAIRS}}
+
+# Surface keywords of the second-order quantifiers, shared by parser and printer.
+_SO_KEYWORDS = {
+    "E2": ExistsRel,
+    "A2": ForallRel,
+    "Ef": ExistsFun,
+    "Af": ForallFun,
+    "Ep": ExistsRelSparse,
+    "Ap": ForallRelSparse,
+}
+_SO_KEYWORD_OF = {cls: keyword for keyword, cls in _SO_KEYWORDS.items()}
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
@@ -335,6 +359,26 @@ def children(phi: Formula) -> tuple[Formula, ...]:
     if isinstance(phi, _FO_QUANT) or isinstance(phi, _SO_QUANT):
         return (phi.body,)
     return ()
+
+
+def map_children(phi: Formula, fn, cls: type | None = None) -> Formula:
+    """Rebuild phi with every formula child c replaced by fn(c).
+
+    ``cls`` builds the node as another class of the same shape (e.g. a
+    connective's dual); leaves have no children and come back unchanged.
+    """
+    make = cls or type(phi)
+    if isinstance(phi, _BINARY):
+        return make(fn(phi.left), fn(phi.right))
+    if isinstance(phi, _UNARY):
+        return make(fn(phi.body))
+    if isinstance(phi, _FO_QUANT):
+        return make(phi.var, fn(phi.body))
+    if isinstance(phi, _SPARSE_QUANT):
+        return make(phi.name, phi.arity, phi.bound, fn(phi.body))
+    if isinstance(phi, _SO_QUANT):
+        return make(phi.name, phi.arity, fn(phi.body))
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -848,46 +892,11 @@ def ovee_all(items, empty: Formula | None = None) -> Formula:
     return out
 
 
-def subst_props(phi: Formula, mapping: dict[str, Formula]) -> Formula:
-    """Replace propositional atoms by formulas (no binding to respect)."""
-    if isinstance(phi, Prop):
-        return mapping.get(phi.name, phi)
-    if isinstance(phi, Not):
-        return Not(subst_props(phi.body, mapping))
-    if isinstance(phi, BoolNot):
-        return BoolNot(subst_props(phi.body, mapping))
-    if isinstance(phi, Diamond):
-        return Diamond(subst_props(phi.body, mapping))
-    if isinstance(phi, Box):
-        return Box(subst_props(phi.body, mapping))
-    if isinstance(phi, And):
-        return And(subst_props(phi.left, mapping), subst_props(phi.right, mapping))
-    if isinstance(phi, Or):
-        return Or(subst_props(phi.left, mapping), subst_props(phi.right, mapping))
-    return phi
-
-
 def subst_pred_by_relvar(phi: Formula, pred: str, rel: str) -> Formula:
     """Turn every atom pred(t...) into an application of relation variable rel."""
     if isinstance(phi, Pred) and phi.name == pred:
         return RelApp(rel, phi.args)
-    if isinstance(phi, Not):
-        return Not(subst_pred_by_relvar(phi.body, pred, rel))
-    if isinstance(phi, And):
-        return And(
-            subst_pred_by_relvar(phi.left, pred, rel),
-            subst_pred_by_relvar(phi.right, pred, rel),
-        )
-    if isinstance(phi, Or):
-        return Or(
-            subst_pred_by_relvar(phi.left, pred, rel),
-            subst_pred_by_relvar(phi.right, pred, rel),
-        )
-    if isinstance(phi, Exists):
-        return Exists(phi.var, subst_pred_by_relvar(phi.body, pred, rel))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, subst_pred_by_relvar(phi.body, pred, rel))
-    return phi
+    return map_children(phi, lambda c: subst_pred_by_relvar(c, pred, rel))
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +922,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_RESERVED = {"E", "A", "NE", "top", "bot", "E2", "A2", "Ef", "Af", "Ep", "Ap"}
+_RESERVED = {"E", "A", "NE", "top", "bot", *_SO_KEYWORDS}
 
 
 def _tokenize(text: str):
@@ -971,10 +980,6 @@ class _Parser:
     def at_sym(self, *symbols: str) -> bool:
         kind, val, _, _ = self.peek()
         return kind == "sym" and val in symbols
-
-    def at_ident(self, *names: str) -> bool:
-        kind, val, _, _ = self.peek()
-        return kind == "ident" and (not names or val in names)
 
     def expect_sym(self, symbol: str):
         kind, val, line, col = self.next()
@@ -1034,7 +1039,7 @@ class _Parser:
             self.expect_sym(".")
             body = self.formula()
             return Exists(var, body) if val == "E" else Forall(var, body)
-        if kind == "ident" and val in ("E2", "A2", "Ef", "Af", "Ep", "Ap"):
+        if kind == "ident" and val in _SO_KEYWORDS:
             if self.language != "so":
                 raise ParseError(f"{val!r} is second-order syntax", line, col)
             return self._so_quantifier(val)
@@ -1052,8 +1057,9 @@ class _Parser:
 
     def _so_quantifier(self, keyword: str) -> Formula:
         self.next()
+        cls = _SO_KEYWORDS[keyword]
         bound = None
-        if keyword in ("Ep", "Ap"):
+        if cls in _SPARSE_QUANT:
             self.expect_sym("[")
             bound = self._sparse_bound()
             self.expect_sym("]")
@@ -1061,23 +1067,15 @@ class _Parser:
         self.expect_sym(":")
         arity = self.expect_int()
         self.expect_sym(".")
-        scope = self.funvar_scope if keyword in ("Ef", "Af") else self.relvar_scope
+        scope = self.funvar_scope if cls in (ExistsFun, ForallFun) else self.relvar_scope
         scope.append((name, arity))
         try:
             body = self.formula()
         finally:
             scope.pop()
-        if keyword == "E2":
-            return ExistsRel(name, arity, body)
-        if keyword == "A2":
-            return ForallRel(name, arity, body)
-        if keyword == "Ef":
-            return ExistsFun(name, arity, body)
-        if keyword == "Af":
-            return ForallFun(name, arity, body)
-        if keyword == "Ep":
-            return ExistsRelSparse(name, arity, bound, body)
-        return ForallRelSparse(name, arity, bound, body)
+        if bound is not None:
+            return cls(name, arity, bound, body)
+        return cls(name, arity, body)
 
     def _sparse_bound(self) -> SparseBound:
         kword, line, col = self.expect_ident()
@@ -1087,13 +1085,7 @@ class _Parser:
             self.next()
             nums.append(self.expect_int())
         try:
-            if kword == "poly":
-                return SparseBound.polynomial(nums)
-            if kword == "scaled":
-                if len(nums) != 2:
-                    raise ValueError("scaled bound takes exactly factor,power")
-                return SparseBound.scaled_power(*nums)
-            raise ValueError(f"unknown sparse bound kind {kword!r}")
+            return SparseBound.of_kind(kword, nums)
         except ValueError as exc:
             raise ParseError(str(exc), line, col) from None
 
@@ -1338,20 +1330,22 @@ _LEVEL_ATOM = 100
 
 _BINOP_LEVELS = (_LEVEL_IFF, _LEVEL_IMPLIES, _LEVEL_OVEE, _LEVEL_OR, _LEVEL_AND)
 
+_PREFIX_SYMBOLS = {Not: "!", BoolNot: "~", Diamond: "<>", Box: "[]"}
+_BINOP_SYMBOLS = {
+    And: ("&", _LEVEL_AND),
+    Or: ("|", _LEVEL_OR),
+    Implies: ("->", _LEVEL_IMPLIES),  # the only right-associative operator
+    Iff: ("<->", _LEVEL_IFF),
+}
+
 
 def _surface_level(phi: Formula) -> int:
     if as_ovee(phi) is not None:
         return _LEVEL_OVEE
     if as_e(phi) is not None:
         return _LEVEL_ATOM
-    if isinstance(phi, And):
-        return _LEVEL_AND
-    if isinstance(phi, Or):
-        return _LEVEL_OR
-    if isinstance(phi, Implies):
-        return _LEVEL_IMPLIES
-    if isinstance(phi, Iff):
-        return _LEVEL_IFF
+    if isinstance(phi, _BINARY):
+        return _BINOP_SYMBOLS[type(phi)][1]
     if isinstance(phi, (Pred, Eq, Top, Bot, Prop, RelApp, DepAtom)):
         return _LEVEL_ATOM
     return _LEVEL_PREFIX
@@ -1404,36 +1398,18 @@ def format_formula(phi: Formula) -> str:
         return "bot"
     if isinstance(phi, Prop):
         return phi.name
-    if isinstance(phi, Not):
-        return f"!{_prefix_body(phi.body)}"
-    if isinstance(phi, BoolNot):
-        return f"~{_prefix_body(phi.body)}"
-    if isinstance(phi, And):
-        return f"{_binop_child(phi.left, _LEVEL_AND, False)} & {_binop_child(phi.right, _LEVEL_AND, True)}"
-    if isinstance(phi, Or):
-        return f"{_binop_child(phi.left, _LEVEL_OR, False)} | {_binop_child(phi.right, _LEVEL_OR, True)}"
-    if isinstance(phi, Implies):
-        return f"{_binop_child(phi.left, _LEVEL_IMPLIES, True)} -> {_binop_child(phi.right, _LEVEL_IMPLIES, False)}"
-    if isinstance(phi, Iff):
-        return f"{_binop_child(phi.left, _LEVEL_IFF, False)} <-> {_binop_child(phi.right, _LEVEL_IFF, True)}"
-    if isinstance(phi, Exists):
-        return f"E {phi.var}. {_prefix_body(phi.body)}"
-    if isinstance(phi, Forall):
-        return f"A {phi.var}. {_prefix_body(phi.body)}"
-    if isinstance(phi, Diamond):
-        return f"<>{_prefix_body(phi.body)}"
-    if isinstance(phi, Box):
-        return f"[]{_prefix_body(phi.body)}"
-    if isinstance(phi, ExistsRel):
-        return f"E2 {phi.name}:{phi.arity}. {_prefix_body(phi.body)}"
-    if isinstance(phi, ForallRel):
-        return f"A2 {phi.name}:{phi.arity}. {_prefix_body(phi.body)}"
-    if isinstance(phi, ExistsFun):
-        return f"Ef {phi.name}:{phi.arity}. {_prefix_body(phi.body)}"
-    if isinstance(phi, ForallFun):
-        return f"Af {phi.name}:{phi.arity}. {_prefix_body(phi.body)}"
-    if isinstance(phi, ExistsRelSparse):
-        return f"Ep[{phi.bound}] {phi.name}:{phi.arity}. {_prefix_body(phi.body)}"
-    if isinstance(phi, ForallRelSparse):
-        return f"Ap[{phi.bound}] {phi.name}:{phi.arity}. {_prefix_body(phi.body)}"
+    if isinstance(phi, _UNARY):
+        return f"{_PREFIX_SYMBOLS[type(phi)]}{_prefix_body(phi.body)}"
+    if isinstance(phi, _BINARY):
+        symbol, level = _BINOP_SYMBOLS[type(phi)]
+        right_assoc = isinstance(phi, Implies)
+        left = _binop_child(phi.left, level, right_assoc)
+        return f"{left} {symbol} {_binop_child(phi.right, level, not right_assoc)}"
+    if isinstance(phi, _FO_QUANT):
+        keyword = "E" if isinstance(phi, Exists) else "A"
+        return f"{keyword} {phi.var}. {_prefix_body(phi.body)}"
+    if isinstance(phi, _SO_QUANT):
+        bound = f"[{phi.bound}]" if isinstance(phi, _SPARSE_QUANT) else ""
+        keyword = _SO_KEYWORD_OF[type(phi)]
+        return f"{keyword}{bound} {phi.name}:{phi.arity}. {_prefix_body(phi.body)}"
     raise TypeError(f"not a formula: {phi!r}")

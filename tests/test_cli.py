@@ -130,8 +130,17 @@ def test_mc_json_includes_stats(capsys, model_file):
     assert code == EXIT_TRUE
     payload = json.loads(out)
     assert payload["verdict"] is True
-    assert set(payload["stats"]) == {"nodes", "splits", "alternations"}
+    assert set(payload["stats"]) == {"nodes", "splits", "hooks", "alternations"}
     assert payload["stats"]["nodes"] >= 1
+
+
+def test_mc_json_reports_hooks(capsys, model_file):
+    code, out, _ = run(
+        capsys,
+        ["mc", "--json", "--structure", model_file, "--formula", "(!P(x)) | (P(x) & dep(x,y))"],
+    )
+    assert code == EXIT_TRUE
+    assert json.loads(out)["stats"]["hooks"] >= 1
 
 
 def test_mc_modal_language_uses_kripke_block(capsys, model_file):

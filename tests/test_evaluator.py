@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_fo_formula, random_structure, random_team, random_team_formula
+from helpers import (
+    random_fo_formula,
+    random_kripke,
+    random_mtl_formula,
+    random_structure,
+    random_team,
+    random_team_formula,
+)
 from tlk import (
     Budget,
     BudgetExceeded,
@@ -215,6 +222,16 @@ def test_localize_and_memo_do_not_change_verdicts(seed):
     assert eval_team(A, T, phi, localize=False) == want
     assert eval_team(A, T, phi, memo=False) == want
     assert eval_team(A, T, phi, localize=False, memo=False) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_modal_memo_does_not_change_verdicts(seed):
+    rng = random.Random(seed)
+    K = random_kripke(rng, rng.randint(1, 3))
+    T = frozenset(w for w in range(K.worlds) if rng.random() < 0.6)
+    phi = random_mtl_formula(rng, rng.randint(1, 7), 2)
+    assert eval_mtl(K, T, phi, memo=False) == eval_mtl(K, T, phi, memo=True)
 
 
 def test_budget_exhaustion_raises():

@@ -113,6 +113,22 @@ def test_parse_so_assignment_rejects_bad_lines():
         parse_so_assignment("fun f 2 { (0)->1 }")  # entry arity mismatch
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "elem y 0\nfun f 1 { (0)->1 (1)->0 junk }",  # stray text, as model files reject it
+        "elem y 0\nrel X two { (0) }",
+        "elem y 0\nelem x one",
+    ],
+)
+def test_parse_so_assignment_errors_carry_the_line(text):
+    from tlk.syntax import ParseError
+
+    with pytest.raises(ParseError) as info:
+        parse_so_assignment(text)
+    assert info.value.line == 2
+
+
 # ---------------------------------------------------------------------------
 # Negation normal form
 
@@ -128,6 +144,14 @@ def test_to_nnf_golden_shapes():
     assert nnf("!(E2 X:1. X(x))") == "A2 X:1. !X(x)"
     assert nnf("!(Ep[scaled:2,1] X:1. X(x))") == "Ap[scaled:2,1] X:1. !X(x)"
     assert nnf("!(Ef F:1. P(F(x)))") == "Af F:1. !P(F(x))"
+    assert nnf("!top") == "bot"
+    assert nnf("!bot") == "top"
+    assert nnf("!(P(x) <-> Q(x))") == "P(x) & (!Q(x)) | Q(x) & (!P(x))"
+    assert nnf("!(P(x) -> Q(x))") == "P(x) & (!Q(x))"
+    assert nnf("!(A2 X:1. X(x))") == "E2 X:1. !X(x)"
+    assert nnf("!(Ap[scaled:2,1] X:1. X(x))") == "Ep[scaled:2,1] X:1. !X(x)"
+    assert nnf("!(Af F:1. P(F(x)))") == "Ef F:1. !P(F(x))"
+    assert nnf("!(A x. P(x))") == "E x. !P(x)"
 
 
 def test_to_nnf_preserves_so_truth():

@@ -169,3 +169,12 @@ def test_sat_fo2_agrees_with_direct_search():
         agreements += 1
     assert sat_seen >= 20
     assert unsat_seen >= 3
+
+
+def test_witness_that_fails_its_recheck_raises(monkeypatch):
+    import tlk.solver
+
+    verdicts = iter([True, False])
+    monkeypatch.setattr(tlk.solver, "eval_team", lambda *args, **kw: next(verdicts))
+    with pytest.raises(tlk.solver.WitnessCheckFailed):
+        sat_bounded(_t("P(x)"), VOCAB, max_domain=1)

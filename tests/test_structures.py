@@ -279,6 +279,9 @@ def test_model_file_empty_domain_team():
         "kripke 2 { edges (0,5) }",
         "kripke 2 { wibble { } }",
         "mystery 3",
+        "domain 2\nrel P two { (0) }",  # arity must be a number
+        "domain 2\nfun f 1 { (0,1)->0 }",  # entry of another arity than declared
+        "domain 2\nfun f 1 { (0)->1 (1)->0 junk }",
     ],
 )
 def test_model_file_rejects(bad):

@@ -67,6 +67,7 @@ CANONICAL = [
     ("Ep[poly:1,0,2] S:1. top", "so"),
     ("Ef F:1. P(F(x))", "so"),
     ("Af F:2. x = F(x,y)", "so"),
+    ("Ap[scaled:1,1] S:1. S(x)", "so"),
     ("E x. (R(x,x) & P(x))", "so"),
 ]
 
@@ -257,3 +258,42 @@ def test_free_vars_of_dependency_atoms():
     phi = parse("dep(x,y)", "team")
     assert S.free_vars(phi) == {"x", "y"}
     assert S.quantifier_rank(phi) == 0
+
+
+def _concrete_formula_classes(cls=S.Formula):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_formula_classes(sub)
+
+
+def test_map_children_identity_rebuilds_every_node_class():
+    p = S.Pred("P", (S.Var("x"),))
+    bound = S.SparseBound.scaled_power(1, 1)
+    instances = [
+        p,
+        S.Eq(S.Var("x"), S.Var("y")),
+        S.TOP,
+        S.BOT,
+        S.Not(p),
+        S.BoolNot(p),
+        S.And(p, S.TOP),
+        S.Or(p, S.BOT),
+        S.Exists("x", p),
+        S.Forall("x", p),
+        parse("dep(x,y)", "team"),
+        S.Prop("p"),
+        S.Diamond(S.Prop("p")),
+        S.Box(S.Prop("p")),
+        S.RelApp("X", (S.Var("x"),)),
+        S.Implies(p, S.TOP),
+        S.Iff(p, S.BOT),
+        S.ExistsRel("X", 1, p),
+        S.ForallRel("X", 1, p),
+        S.ExistsFun("f", 1, p),
+        S.ForallFun("f", 1, p),
+        S.ExistsRelSparse("X", 1, bound, p),
+        S.ForallRelSparse("X", 1, bound, p),
+    ]
+    assert {type(phi) for phi in instances} == set(_concrete_formula_classes())
+    for phi in instances:
+        assert S.map_children(phi, lambda c: c) == phi
