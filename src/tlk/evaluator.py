@@ -110,19 +110,6 @@ def eval_fo(structure: Structure, s: Assignment, phi: S.Formula) -> bool:
     raise ValueError(f"not a first-order formula: {S.format_formula(phi)}")
 
 
-def _hook_parts(phi: S.Formula) -> tuple[S.Formula, S.Formula] | None:
-    """Match the hook shape !a | (a & psi) with first-order a."""
-    if (
-        isinstance(phi, S.Or)
-        and isinstance(phi.left, S.Not)
-        and isinstance(phi.right, S.And)
-        and phi.left.body == phi.right.left
-        and S.is_fo(phi.left.body)
-    ):
-        return phi.left.body, phi.right.right
-    return None
-
-
 def team_satisfying(structure: Structure, team: Team, alpha: S.Formula) -> Team:
     """T_a: the rows of T that classically satisfy the flat formula a."""
     rows = frozenset(s for s in team.rows if eval_fo(structure, s, alpha))
@@ -138,32 +125,112 @@ def _nonempty_subsets(domain_size: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
+# Formula preparation
+
+
+class _Prepared:
+    """What evaluation needs to know about a formula before it sees a
+    structure or a team, gathered in one bottom-up pass.
+
+    The constructor runs the language check.  ``flat``, ``fr`` and
+    ``hook`` map node ids to flatness (first-order in team logic,
+    classical modal in modal team logic), free variables, and for
+    hook-shaped disjunctions !a | (a & psi) with flat a the pair
+    (a, psi).  ``preds`` (name, arity), ``funcs`` and ``props`` are the
+    symbols the formula uses.  ``phi`` keeps the formula alive, so the
+    node ids stay valid as long as the tables are in use.
+    """
+
+    def __init__(self, phi: S.Formula, language: str):
+        S.check_language(phi, language)
+        self.phi = phi
+        self.language = language
+        self.shape = S._FO_SHAPE if language == "team" else S._ML_SHAPE
+        self.flat: dict[int, bool] = {}
+        self.fr: dict[int, frozenset[str]] = {}
+        self.hook: dict[int, tuple[S.Formula, S.Formula]] = {}
+        self.preds: set[tuple[str, int]] = set()
+        self.funcs: set[str] = set()
+        self.props: set[str] = set()
+        self._visit(phi)
+
+    def _visit(self, node: S.Formula) -> None:
+        kids = S.children(node)
+        for c in kids:
+            if id(c) not in self.flat:
+                self._visit(c)
+        flat, fr = self.flat, self.fr
+        leaves, connectives = self.shape
+        flat[id(node)] = isinstance(node, leaves) or (
+            isinstance(node, connectives) and all(flat[id(c)] for c in kids)
+        )
+        if isinstance(node, (S.Exists, S.Forall)):
+            fr[id(node)] = fr[id(node.body)] - {node.var}
+        elif kids:
+            fr[id(node)] = frozenset().union(*(fr[id(c)] for c in kids))
+        else:
+            fr[id(node)] = S.free_vars(node)
+            self.funcs |= S.free_function_vars(node)
+            self.props |= S.prop_names(node)
+            if isinstance(node, S.Pred):
+                self.preds.add((node.name, len(node.args)))
+        if (
+            isinstance(node, S.Or)
+            and isinstance(node.left, S.Not)
+            and isinstance(node.right, S.And)
+            and flat[id(node.left.body)]
+            and node.left.body == node.right.left
+        ):
+            self.hook[id(node)] = (node.left.body, node.right.right)
+
+    def check_structure(self, structure: Structure) -> None:
+        """Raise ValueError unless the structure interprets every symbol."""
+        for name, arity in self.preds:
+            if name not in structure.relations:
+                raise ValueError(f"structure has no relation {name!r}")
+            if structure.arities[name] != arity:
+                raise ValueError(
+                    f"relation {name!r} has arity {structure.arities[name]}, used with {arity}"
+                )
+        for name in self.funcs:
+            if name not in structure.functions:
+                raise ValueError(f"structure has no function {name!r}")
+
+
+# The formula prepared last.  The solver calls eval_team once per
+# (structure, team) pair with one formula object, so one entry serves a
+# whole search.  It is replaced by a single assignment and read once per
+# call: concurrent callers at worst prepare a formula twice.
+_last_prepared: _Prepared | None = None
+
+
+def _prepared(phi: S.Formula, language: str) -> _Prepared:
+    global _last_prepared
+    cached = _last_prepared
+    if cached is None or cached.phi is not phi or cached.language != language:
+        cached = _last_prepared = _Prepared(phi, language)
+    return cached
+
+
+# ---------------------------------------------------------------------------
 # The evaluator core shared by first-order and modal team semantics
 
 
 class _Evaluator:
     """Memo, budget and node counting around each subformula evaluation,
-    plus the splitjunction clause.  Subclasses give the flatness test
-    (``_is_flat``), the remaining clauses (``_eval_inner``), a team's
-    rows in a fixed order (``_rows``) and the team made of some of them
-    (``_team``)."""
+    plus the splitjunction clause.  Subclasses give the remaining
+    clauses (``_eval_inner``), a team's rows in a fixed order
+    (``_rows``) and the team made of some of them (``_team``)."""
 
     localize = False
 
-    def __init__(self, budget, stats, memo):
+    def __init__(self, prepared: _Prepared, budget, stats, memo):
         self.budget = budget
         self.stats = stats
         self.memo_enabled = memo
         self.memo: dict = {}
-        self.flat: dict[int, bool] = {}
-        self.fr: dict[int, frozenset[str]] = {}
-
-    def prepare(self, phi: S.Formula) -> None:
-        for node in S.walk(phi):
-            if id(node) not in self.flat:
-                self.flat[id(node)] = self._is_flat(node)
-                if self.localize:
-                    self.fr[id(node)] = S.free_vars(node)
+        self.flat = prepared.flat
+        self.fr = prepared.fr
 
     def charge(self) -> None:
         if self.budget is not None:
@@ -203,13 +270,13 @@ class _Evaluator:
 
 
 class _TeamEvaluator(_Evaluator):
-    _is_flat = staticmethod(S.is_fo)
     _rows = staticmethod(Team.sorted_rows)
 
-    def __init__(self, structure, budget, stats, localize, memo):
-        super().__init__(budget, stats, memo)
+    def __init__(self, structure, prepared, budget, stats, localize, memo):
+        super().__init__(prepared, budget, stats, memo)
         self.structure = structure
         self.localize = localize
+        self.hook = prepared.hook
         self.subsets = _nonempty_subsets(structure.domain_size)
 
     @staticmethod
@@ -229,7 +296,7 @@ class _TeamEvaluator(_Evaluator):
         if isinstance(phi, S.And):
             return self.eval(team, phi.left) and self.eval(team, phi.right)
         if isinstance(phi, S.Or):
-            hook = _hook_parts(phi)
+            hook = self.hook.get(id(phi))
             if hook is not None:
                 self.stats.hooks += 1
                 return self.eval(team_satisfying(A, team, hook[0]), hook[1])
@@ -268,37 +335,19 @@ def eval_team(
     subformula (sound by locality); ``memo`` caches verdicts per
     (subformula, team).  Both are on by default and only worth
     disabling in tests of those very properties.
+
+    The formula's language check, free variables, symbols and per-node
+    tables are computed once and reused by the next call with the same
+    formula object; the checks against the team and the structure, the
+    memo and the counters are per call.
     """
-    S.check_language(phi, "team")
-    missing = S.free_vars(phi) - set(team.domain)
+    prepared = _prepared(phi, "team")
+    missing = prepared.fr[id(phi)] - set(team.domain)
     if missing:
         raise ValueError(f"team does not bind free variables {sorted(missing)}")
-    _check_symbols(structure, phi)
-    ev = _TeamEvaluator(structure, budget, stats or EvalStats(), localize, memo)
-    ev.prepare(phi)
+    prepared.check_structure(structure)
+    ev = _TeamEvaluator(structure, prepared, budget, stats or EvalStats(), localize, memo)
     return ev.eval(team, phi)
-
-
-def _check_symbols(structure: Structure, phi: S.Formula) -> None:
-    preds = set()
-    funcs = set()
-    for node in S.walk(phi):
-        if isinstance(node, S.Pred):
-            preds.add((node.name, len(node.args)))
-        for t in getattr(node, "args", ()):
-            funcs |= S.term_functions(t)
-        if isinstance(node, S.Eq):
-            funcs |= S.term_functions(node.left) | S.term_functions(node.right)
-    for name, arity in preds:
-        if name not in structure.relations:
-            raise ValueError(f"structure has no relation {name!r}")
-        if structure.arities[name] != arity:
-            raise ValueError(
-                f"relation {name!r} has arity {structure.arities[name]}, used with {arity}"
-            )
-    for name in funcs:
-        if name not in structure.functions:
-            raise ValueError(f"structure has no function {name!r}")
 
 
 def eval_hook(
@@ -348,11 +397,10 @@ def eval_ml(kripke: KripkeStructure, world: int, phi: S.Formula) -> bool:
 
 
 class _ModalEvaluator(_Evaluator):
-    _is_flat = staticmethod(S.is_ml)
     _rows = staticmethod(sorted)
 
-    def __init__(self, kripke, budget, stats, memo):
-        super().__init__(budget, stats, memo)
+    def __init__(self, kripke, prepared, budget, stats, memo):
+        super().__init__(prepared, budget, stats, memo)
         self.kripke = kripke
 
     @staticmethod
@@ -391,13 +439,12 @@ def eval_mtl(
 
     The Kripke structure must value every proposition phi mentions.
     """
-    S.check_language(phi, "mtl")
+    prepared = _prepared(phi, "mtl")
     team = frozenset(team)
     if any(w not in range(kripke.worlds) for w in team):
         raise ValueError("team contains worlds outside the structure")
-    missing = S.prop_names(phi) - set(kripke.valuation)
+    missing = prepared.props - set(kripke.valuation)
     if missing:
         raise ValueError(f"Kripke structure does not value propositions {sorted(missing)}")
-    ev = _ModalEvaluator(kripke, budget, stats or EvalStats(), memo)
-    ev.prepare(phi)
+    ev = _ModalEvaluator(kripke, prepared, budget, stats or EvalStats(), memo)
     return ev.eval(team, phi)

@@ -294,8 +294,13 @@ def eval_term(structure: Structure, s: Assignment, t: Term) -> int:
 
 
 def team_restrict(team: Team, variables) -> Team:
-    """T restricted to the given variables; rows that collide merge."""
+    """T restricted to the given variables; rows that collide merge.
+
+    When no variable is dropped this is T itself.
+    """
     keep = tuple(sorted(set(variables) & set(team.domain)))
+    if keep == team.domain:
+        return team
     rows = frozenset(s.restrict(keep) for s in team.rows)
     return Team(keep, rows)
 
@@ -572,12 +577,15 @@ def _parse_kripke_body(body: str, worlds: int, lineno: int):
             if any(len(p) != 2 for p in pairs):
                 raise ParseError("edges must be pairs", lineno, 1)
             edges = frozenset(pairs)
-        elif head[0] == "val" and len(head) >= 2:
-            prop = head[1]
-            valuation[prop] = frozenset(_world_list(part, lineno))
-        elif head[0] == "team":
-            team = frozenset(_world_list(part, lineno))
-            saw_team = True
+        elif head[0] in ("val", "team"):
+            words, listed = _world_clause(part, lineno)
+            if words[0] == "val" and len(words) == 2:
+                valuation[words[1]] = listed
+            elif words == ["team"]:
+                team = listed
+                saw_team = True
+            else:
+                raise ParseError(f"unrecognised kripke clause {part!r}", lineno, 1)
         else:
             raise ParseError(f"unrecognised kripke clause {part!r}", lineno, 1)
     if not saw_team:
@@ -591,11 +599,17 @@ def _parse_kripke_body(body: str, worlds: int, lineno: int):
     return model, team
 
 
-def _world_list(part: str, lineno: int) -> list[int]:
-    open_b, close_b = part.find("{"), part.rfind("}")
+def _world_clause(part: str, lineno: int) -> tuple[list[str], frozenset[int]]:
+    """Split ``val NAME { w ... }`` or ``team { w ... }`` into the words
+    before the brace and the listed worlds; text after the brace is an
+    error."""
+    open_b, close_b = part.find("{"), part.find("}")
     if open_b < 0 or close_b < open_b:
         raise ParseError(f"expected '{{ worlds }}' in {part!r}", lineno, 1)
+    if part[close_b + 1 :].strip():
+        raise ParseError(f"trailing text after '}}' in {part!r}", lineno, 1)
     try:
-        return [int(w) for w in part[open_b + 1 : close_b].split()]
+        worlds = frozenset(int(w) for w in part[open_b + 1 : close_b].split())
     except ValueError:
         raise ParseError(f"bad world list in {part!r}", lineno, 1) from None
+    return part[:open_b].split(), worlds

@@ -758,23 +758,29 @@ def pred_names(phi: Formula) -> frozenset[str]:
 # Language membership
 
 
+# The classical languages as (leaves, connectives): a formula belongs to
+# one when it is a leaf or a connective over formulas that belong to it.
+# The evaluators decide flatness bottom-up from the same tables.
+_FO_SHAPE = ((Pred, Eq, Top, Bot), (Not, And, Or, Exists, Forall))
+_ML_SHAPE = ((Prop, Top, Bot), (Not, And, Or, Diamond, Box))
+
+
+def _has_shape(phi: Formula, shape) -> bool:
+    leaves, connectives = shape
+    if isinstance(phi, leaves):
+        return True
+    return isinstance(phi, connectives) and all(_has_shape(c, shape) for c in children(phi))
+
+
 def is_fo(phi: Formula) -> bool:
     """Classical first-order formulas: no ~, no dependency atoms, no modal
     or second-order material."""
-    if isinstance(phi, (Pred, Eq, Top, Bot)):
-        return True
-    if isinstance(phi, (Not, And, Or)) or isinstance(phi, _FO_QUANT):
-        return all(is_fo(c) for c in children(phi))
-    return False
+    return _has_shape(phi, _FO_SHAPE)
 
 
 def is_ml(phi: Formula) -> bool:
     """Classical modal logic: propositions, top/bot, ! & | <> []."""
-    if isinstance(phi, (Prop, Top, Bot)):
-        return True
-    if isinstance(phi, (Not, And, Or, Diamond, Box)):
-        return all(is_ml(c) for c in children(phi))
-    return False
+    return _has_shape(phi, _ML_SHAPE)
 
 
 def is_team(phi: Formula) -> bool:
@@ -795,11 +801,6 @@ def is_mtl(phi: Formula) -> bool:
     if isinstance(phi, (BoolNot, And, Or, Diamond, Box)):
         return all(is_mtl(c) for c in children(phi))
     return False
-
-
-def is_ptl(phi: Formula) -> bool:
-    """Propositional team logic: modality-free MTL."""
-    return is_mtl(phi) and modal_depth(phi) == 0
 
 
 def is_so(phi: Formula) -> bool:

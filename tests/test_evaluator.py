@@ -319,3 +319,86 @@ def test_eval_mtl_rejects_first_order_syntax():
     K = _diamond_kripke()
     with pytest.raises(ValueError):
         eval_mtl(K, frozenset({0}), parse("dep(x,y)", "team"))
+
+
+# ---------------------------------------------------------------------------
+# The prepared formula is reused across calls with the same formula object
+
+
+def _fresh(phi):
+    """An equal copy of phi that shares no node with it."""
+    copy = parse(S.format_formula(phi), "team")
+    assert copy == phi and copy is not phi
+    return copy
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_equal_formula_objects_evaluated_alternately_agree_with_cold_calls(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 2)
+    A = random_structure(rng, n)
+    phi = random_team_formula(rng, rng.randint(1, 6), XY)
+    twins = (phi, _fresh(phi))
+    for i in range(6):
+        T = random_team(rng, n, XY, 3)
+        warm, cold = EvalStats(), EvalStats()
+        warm_budget, cold_budget = Budget(), Budget()
+        got = eval_team(A, T, twins[i % 2], warm_budget, stats=warm)
+        assert got == eval_team(A, T, _fresh(phi), cold_budget, stats=cold)
+        assert (warm, warm_budget.used) == (cold, cold_budget.used)
+
+
+def test_a_newly_allocated_formula_replacing_a_dropped_one_is_prepared_afresh():
+    rng = random.Random(7)
+    A = random_structure(rng, 2)
+    T = random_team(rng, 2, XY, 4)
+    texts = [
+        S.format_formula(random_team_formula(rng, rng.randint(1, 7), XY)) for _ in range(40)
+    ]
+    want = [eval_team(A, T, parse(text, "team")) for text in texts]
+    for _ in range(3):
+        for text, verdict in zip(texts, want):
+            # Nothing else holds the formula, so a later one may reuse its ids.
+            assert eval_team(A, T, parse(text, "team")) == verdict
+
+
+def _error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_checks_against_team_and_structure_run_on_every_call():
+    text = "dep(x,y) & (P(x) | (R(x,y) & f(x) = y))"
+    A = Structure(
+        2,
+        {"P": frozenset({(0,)}), "R": frozenset({(0, 1)})},
+        {"f": {(0,): 1, (1,): 0}},
+    )
+    T = Team.from_tuples(XY, [(0, 1)])
+    bad_pairs = [
+        (A, Team.from_tuples(("x",), [(0,)])),  # y is unbound
+        (Structure(2, {"P": frozenset({(0,)})}, {"f": {(0,): 1, (1,): 0}}), T),  # no R
+        (Structure(2, {"P": frozenset(), "R": frozenset({(0,)})},  # R has arity 1
+                   {"f": {(0,): 1, (1,): 0}}, arities={"P": 1}), T),
+        (Structure(2, {"P": frozenset({(0,)}), "R": frozenset({(0, 1)})}), T),  # no f
+    ]
+    phi = parse(text, "team")
+    for structure, team in bad_pairs:
+        cold = _error(lambda: eval_team(structure, team, parse(text, "team")))
+        eval_team(A, T, phi)
+        assert _error(lambda: eval_team(structure, team, phi)) == cold
+
+
+def test_language_check_runs_on_every_call():
+    K = KripkeStructure(2, frozenset({(0, 1)}), {"p": frozenset({1})})
+    modal = parse("<>p", "mtl")
+    A = _structure()
+    T = Team.from_tuples(XY, [(0, 1)])
+    eval_mtl(K, {0}, modal)
+    assert "team formula" in _error(lambda: eval_team(A, T, modal))
+    assert "team formula" in _error(lambda: eval_team(A, T, modal))
+    dep = parse("dep(x,y)", "team")
+    eval_team(A, T, dep)
+    assert "mtl formula" in _error(lambda: eval_mtl(K, {0}, dep))

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tlk import Budget, eval_team, parse
+from tlk import Budget, BudgetExceeded, EvalStats, eval_team, parse
 from tlk import syntax as S
 from tlk.solver import (
     Counterexample,
@@ -14,6 +16,8 @@ from tlk.solver import (
     Satisfiable,
     UnsatUpTo,
     ValidUpTo,
+    _structures,
+    _teams,
     sat_bounded,
     sat_fo2,
     valid_bounded,
@@ -178,3 +182,48 @@ def test_witness_that_fails_its_recheck_raises(monkeypatch):
     monkeypatch.setattr(tlk.solver, "eval_team", lambda *args, **kw: next(verdicts))
     with pytest.raises(tlk.solver.WitnessCheckFailed):
         sat_bounded(_t("P(x)"), VOCAB, max_domain=1)
+
+
+# ---------------------------------------------------------------------------
+# The search against a naive loop that never reuses a prepared formula
+
+
+def _naive_sat(phi, vocab, max_domain, budget, stats):
+    """sat_bounded spelled out over _structures x _teams, evaluating a
+    fresh copy of phi on every pair."""
+    text = S.format_formula(phi)
+    variables = tuple(sorted(S.free_vars(phi)))
+    try:
+        for n in range(1, max_domain + 1):
+            for structure in _structures(vocab, n, budget):
+                for team in _teams(variables, n, budget):
+                    if eval_team(structure, team, parse(text, "team"), budget, stats=stats):
+                        return Satisfiable(structure, team)
+    except BudgetExceeded as exc:
+        return ResourceExhausted(str(exc))
+    return UnsatUpTo(max_domain)
+
+
+def _naive_valid(phi, vocab, max_domain, budget, stats):
+    outcome = _naive_sat(S.BoolNot(phi), vocab, max_domain, budget, stats)
+    if isinstance(outcome, Satisfiable):
+        return Counterexample(outcome.structure, outcome.team)
+    return ValidUpTo(max_domain) if isinstance(outcome, UnsatUpTo) else outcome
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from([None, 40, 400]),
+    st.sampled_from([(sat_bounded, _naive_sat), (valid_bounded, _naive_valid)]),
+)
+def test_search_matches_a_naive_loop_with_fresh_formulas(seed, max_steps, routes):
+    search, naive = routes
+    rng = random.Random(seed)
+    phi = random_team_formula(rng, rng.randint(1, 5), ("x", "y"))
+    assert parse(S.format_formula(phi), "team") == phi
+    runs = []
+    for route in (search, naive):
+        budget, stats = Budget(max_steps), EvalStats()
+        runs.append((route(phi, VOCAB, 2, budget, stats), budget.used, stats))
+    assert runs[0] == runs[1]

@@ -82,6 +82,21 @@ def test_team_restrict():
     assert team_restrict(Team.empty(("x", "y")), ("x",)) == Team.empty(("x",))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), max_size=6),
+    st.sets(st.sampled_from(("w", "x", "y", "z"))),
+)
+def test_team_restrict_matches_rowwise_restriction(tuples, variables):
+    T = Team.from_tuples(("x", "y", "z"), tuples)
+    keep = tuple(sorted(variables & {"x", "y", "z"}))
+    restricted = team_restrict(T, variables)
+    assert restricted == Team(keep, frozenset(s.restrict(keep) for s in T.rows))
+    if keep == T.domain:
+        # Nothing is dropped: the team itself comes back, not a copy.
+        assert restricted is T
+
+
 # ---------------------------------------------------------------------------
 # Supplement and duplicate  [PAPER] definitions, frozen examples
 
@@ -282,8 +297,22 @@ def test_model_file_empty_domain_team():
         "domain 2\nrel P two { (0) }",  # arity must be a number
         "domain 2\nfun f 1 { (0,1)->0 }",  # entry of another arity than declared
         "domain 2\nfun f 1 { (0)->1 (1)->0 junk }",
+        "kripke 2 { edges (0,1) ; val p { 0 } junk ; team { 1 } }",
+        "kripke 2 { edges (0,1) ; val p { 0 } ; team { 1 } more }",
+        "kripke 2 { val p q { 0 } }",  # one proposition per val clause
+        "kripke 2 { team 1 { 0 } }",
     ],
 )
 def test_model_file_rejects(bad):
     with pytest.raises(ParseError):
         parse_model_file(bad)
+
+
+@pytest.mark.parametrize(
+    "clause", ["val p { 0 } junk", "team { 1 } more"]
+)
+def test_kripke_clause_trailing_text_reports_the_block_line(clause):
+    text = f"# a comment\n\nK = kripke 2 {{ edges (0,1) ;\n  {clause} }}"
+    with pytest.raises(ParseError, match="trailing text") as info:
+        parse_model_file(text)
+    assert info.value.line == 3
