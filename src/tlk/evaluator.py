@@ -128,6 +128,21 @@ def _nonempty_subsets(domain_size: int) -> tuple[tuple[int, ...], ...]:
 # Formula preparation
 
 
+def check_symbols(preds, funcs, structure: Structure) -> None:
+    """Raise ValueError unless the structure interprets every predicate
+    (name, arity) in ``preds`` at its arity and every function in ``funcs``."""
+    for name, arity in preds:
+        if name not in structure.relations:
+            raise ValueError(f"structure has no relation {name!r}")
+        if structure.arities[name] != arity:
+            raise ValueError(
+                f"relation {name!r} has arity {structure.arities[name]}, used with {arity}"
+            )
+    for name in funcs:
+        if name not in structure.functions:
+            raise ValueError(f"structure has no function {name!r}")
+
+
 class _Prepared:
     """What evaluation needs to know about a formula before it sees a
     structure or a team, gathered in one bottom-up pass.
@@ -182,19 +197,6 @@ class _Prepared:
             and node.left.body == node.right.left
         ):
             self.hook[id(node)] = (node.left.body, node.right.right)
-
-    def check_structure(self, structure: Structure) -> None:
-        """Raise ValueError unless the structure interprets every symbol."""
-        for name, arity in self.preds:
-            if name not in structure.relations:
-                raise ValueError(f"structure has no relation {name!r}")
-            if structure.arities[name] != arity:
-                raise ValueError(
-                    f"relation {name!r} has arity {structure.arities[name]}, used with {arity}"
-                )
-        for name in self.funcs:
-            if name not in structure.functions:
-                raise ValueError(f"structure has no function {name!r}")
 
 
 # The formula prepared last.  The solver calls eval_team once per
@@ -345,7 +347,7 @@ def eval_team(
     missing = prepared.fr[id(phi)] - set(team.domain)
     if missing:
         raise ValueError(f"team does not bind free variables {sorted(missing)}")
-    prepared.check_structure(structure)
+    check_symbols(prepared.preds, prepared.funcs, structure)
     ev = _TeamEvaluator(structure, prepared, budget, stats or EvalStats(), localize, memo)
     return ev.eval(team, phi)
 

@@ -13,13 +13,20 @@ computes such bounds).
 
 ``eval_so`` is an independent second-order model checker used as the
 oracle on the other side of those translations.  It normalises its
-input to negation normal form and then walks the formula: classical
-connectives recurse, element quantifiers enumerate the domain, relation
-quantifiers enumerate all (or all sparse) relations of the arity, and
-function quantifiers enumerate total function tables.  Quantifiers
-whose variable does not occur free in their body are skipped without
-enumeration, so vacuous quantifiers cost nothing and do not move the
-existential/universal alternation meter.
+input to negation normal form and prepares it in one bottom-up pass,
+linear in the size of the sentence: every node gets its free element,
+relation and function names, built from its children's, and the
+predicates and functions the sentence uses are collected; the
+structure must interpret those, or ``eval_so`` raises ``ValueError``
+before evaluating anything.  Then it walks the formula:
+classical connectives recurse, element quantifiers enumerate the
+domain, relation quantifiers enumerate all (or all sparse) relations of
+the arity, and function quantifiers enumerate total function tables.
+Quantifiers whose variable does not occur free in their body are
+skipped without enumeration, so vacuous quantifiers cost nothing and do
+not move the existential/universal alternation meter.  Memo keys hold
+the values of a node's free names; a function of the structure that
+the assignment does not override is held there as a marker.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from . import syntax as S
-from .evaluator import Budget, EvalStats
+from .evaluator import Budget, EvalStats, check_symbols
 from .structures import (
     Structure,
     Team,
@@ -204,6 +211,17 @@ def _nnf(phi: S.Formula, positive: bool) -> S.Formula:
 
 
 _MISSING = object()
+_UNBOUND = object()
+_NONE: frozenset[str] = frozenset()
+_REL_BINDERS = (S.ExistsRel, S.ForallRel, S.ExistsRelSparse, S.ForallRelSparse)
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    return a if b <= a else b if a <= b else a | b
+
+
+def _without(names: frozenset, name: str) -> frozenset:
+    return names - {name} if name in names else names
 
 
 def _eval_so_term(structure: Structure, J: dict, t: S.Term) -> int:
@@ -240,18 +258,58 @@ class _SOEvaluator:
         self.memo: dict = {}
         self.names: dict[int, frozenset[str]] = {}
         self.keynames: dict[int, tuple[str, ...]] = {}
+        self.preds: set[tuple[str, int]] = set()
+        self.funcs: frozenset[str] = _NONE
 
-    def prepare(self, phi: S.Formula) -> None:
-        """Precompute, per node, the free names of every sort."""
-        for node in S.walk(phi):
-            if id(node) not in self.names:
-                free = (
-                    S.free_vars(node)
-                    | S.free_relation_vars(node)
-                    | S.free_function_vars(node)
-                )
-                self.names[id(node)] = free
-                self.keynames[id(node)] = tuple(sorted(free))
+    def prepare(self, phi: S.Formula, assigned) -> None:
+        """Fill ``names`` and ``keynames`` in one bottom-up pass.
+
+        The pass keeps each node's free element, relation and function
+        names apart, so a binder removes its name from its own sort
+        only; ``names`` holds their union.  ``preds`` gets the
+        predicates (with arity) and ``funcs`` the free function names
+        that ``assigned`` does not bind, which the structure must
+        interpret; ``eval_so`` enters them into the assignment as
+        ``_MISSING``, which terms read as the structure's function.
+        """
+        sorts: dict[int, tuple] = {}  # per-sort free names, dropped after the pass
+        self._visit(phi, sorts)
+        fun = sorts[id(phi)][2]
+        self.funcs = fun.difference(assigned) if fun else _NONE
+        # nodes with equal names share one key tuple
+        keys: dict[frozenset[str], tuple[str, ...]] = {}
+        for k, ns in self.names.items():
+            key = keys.get(ns)
+            if key is None:
+                key = keys[ns] = tuple(sorted(ns))
+            self.keynames[k] = key
+
+    def _visit(self, node: S.Formula, sorts: dict) -> None:
+        # Equal sets are shared rather than rebuilt wherever a child's set
+        # is the answer, which keeps the tables of a sentence small.
+        kids = S.children(node)
+        for c in kids:
+            if id(c) not in sorts:
+                self._visit(c, sorts)
+        if not kids:  # an atom, top or bot: read its own terms
+            elem = S.free_vars(node) or _NONE
+            rel = frozenset((node.name,)) if isinstance(node, S.RelApp) else _NONE
+            fun = S.free_function_vars(node) or _NONE
+            if isinstance(node, S.Pred):
+                self.preds.add((node.name, len(node.args)))
+        elif len(kids) == 1:
+            elem, rel, fun = sorts[id(kids[0])]
+            if isinstance(node, (S.Exists, S.Forall)):
+                elem = _without(elem, node.var)
+            elif isinstance(node, (S.ExistsFun, S.ForallFun)):
+                fun = _without(fun, node.name)
+            elif isinstance(node, _REL_BINDERS):
+                rel = _without(rel, node.name)
+        else:
+            left, right = sorts[id(kids[0])], sorts[id(kids[1])]
+            elem, rel, fun = (_union(a, b) for a, b in zip(left, right))
+        sorts[id(node)] = (elem, rel, fun)
+        self.names[id(node)] = _union(_union(elem, rel), fun)
 
     def charge(self):
         if self.budget is not None:
@@ -315,7 +373,9 @@ class _SOEvaluator:
             self.stats.alternations = switches
         body = phi.body
         budget = self.budget
-        missing = _MISSING
+        # not _MISSING: a structure function sits in J as _MISSING and is
+        # restored as a value
+        missing = _UNBOUND
         old = J.get(var, missing)
         try:
             for c in self._candidates(phi):
@@ -339,8 +399,8 @@ class _SOEvaluator:
         if isinstance(phi, S.Eq):
             return _eval_so_term(A, J, phi.left) == _eval_so_term(A, J, phi.right)
         if isinstance(phi, S.RelApp):
-            rel = J.get(phi.name)
-            if rel is None:
+            rel = J.get(phi.name, _MISSING)
+            if rel is _MISSING:
                 raise ValueError(f"unassigned relation variable {phi.name!r}")
             if not isinstance(rel, RelValue):
                 raise ValueError(f"{phi.name!r} is not a relation variable here")
@@ -461,16 +521,29 @@ def eval_so(
     """Decide A |= phi[assignment] for a second-order formula.
 
     The formula is normalised to NNF first, so ->/<-> and nested
-    classical negations are fine.  ``stats.alternations`` reports the
-    largest number of existential/universal switches met along one
-    evaluation path (with ``memo=True`` shared verdicts can hide some
-    paths; pass ``memo=False`` when the meter itself matters).
+    classical negations are fine.  One bottom-up pass over the NNF then
+    records each node's free names and the symbols phi uses, in time
+    linear in its size.  A predicate must be a relation of the structure
+    at the arity used, and a function name free in phi that the
+    assignment does not bind must be a function of the structure;
+    otherwise ``ValueError`` is raised once, before evaluation.  Such
+    structure functions enter the working assignment as a marker that
+    terms read as the structure's function, so memo keys (``memo=True``)
+    tell them apart from a value that a quantifier binds to the same
+    name, of any sort.  ``stats.alternations`` reports the largest
+    number of existential/universal switches met along one evaluation
+    path (with ``memo=True`` shared verdicts can hide some paths; pass
+    ``memo=False`` when the meter itself matters).
     """
     S.check_language(phi, "so")
     nnf = to_nnf(phi)
+    J = dict(assignment.entries)
     ev = _SOEvaluator(structure, budget, stats or EvalStats(), memo)
-    ev.prepare(nnf)
-    return ev.eval(dict(assignment.entries), nnf, None, 0)
+    ev.prepare(nnf, J)
+    check_symbols(ev.preds, ev.funcs, structure)
+    for name in ev.funcs:
+        J[name] = _MISSING
+    return ev.eval(J, nnf, None, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,9 @@ def sat_fo2(
     Expands phi into disjunctive normal form and searches for classical
     models of each disjunct's transfer sentence gamma; a model yields a
     witness team made of one row per nonemptiness witness.  Only the
-    variables x and y may occur in phi.
+    variables x and y may occur in phi.  ``stats`` is accepted so that
+    every search shares one signature, and is left untouched: this
+    search evaluates no team formula.
     """
     _require_searchable(phi, vocab)
     extra = S.all_vars(phi) - {"x", "y"}

@@ -397,21 +397,45 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
         raise ParseError(f"bad {what} {text!r}", lineno, 1) from None
 
 
-def _int_tuple(inner: str, lineno: int) -> tuple[int, ...]:
-    inner = inner.strip()
+def _line_at(starts: list[tuple[int, int]], pos: int) -> int:
+    """The line of offset pos in a block body; ``starts`` pairs the
+    offset of each line joined into the body with its number."""
+    return next(lineno for offset, lineno in reversed(starts) if offset <= pos)
+
+
+def _stray_line(text: str, pattern: re.Pattern, starts, base: int) -> int:
+    """The line of the first text outside pattern's matches in text,
+    which sits at offset base of a block body."""
+    blanked = pattern.sub(lambda m: " " * len(m.group()), text)
+    return _line_at(starts, base + len(blanked) - len(blanked.lstrip()))
+
+
+def _int_tuple(m: re.Match, starts, base: int) -> tuple[int, ...]:
+    """The integer tuple of match m, whose text sits at offset base of a
+    block body."""
+    inner = m.group(1).strip()
     if not inner:
         return ()
     try:
         return tuple(map(int, inner.split(",")))
     except ValueError:
-        raise ParseError(f"bad tuple ({inner})", lineno, 1) from None
+        raise ParseError(f"bad tuple ({inner})", _line_at(starts, base + m.start()), 1) from None
 
 
-def _parse_int_tuples(text: str, lineno: int) -> list[tuple[int, ...]]:
+def _parse_int_tuples(text: str, starts, base: int = 0) -> list[tuple[int, ...]]:
+    """The tuples '(a,b) (c,d) ...' of text, which sits at offset base of
+    a block body; errors carry the line of the faulty text."""
     stripped = _TUPLE_RE.sub("", text).strip()
     if stripped:
+        lineno = _stray_line(text, _TUPLE_RE, starts, base)
         raise ParseError(f"stray text {stripped!r} in tuple list", lineno, 1)
-    return [_int_tuple(m.group(1), lineno) for m in _TUPLE_RE.finditer(text)]
+    return [_int_tuple(m, starts, base) for m in _TUPLE_RE.finditer(text)]
+
+
+def _width_line(text: str, pattern: re.Pattern, width: int, starts, base: int = 0) -> int:
+    """The line of the first tuple in text whose width is not width."""
+    m = next(m for m in pattern.finditer(text) if len(_int_tuple(m, starts, base)) != width)
+    return _line_at(starts, base + m.start())
 
 
 def _table_declaration(lines: list[tuple[int, str]], i: int):
@@ -430,29 +454,37 @@ def _table_declaration(lines: list[tuple[int, str]], i: int):
         raise ParseError(f"expected '{head[0]} NAME [ARITY] {{ ... }}'", lineno, 1)
     kind, name = head[0], head[1]
     arity = _parse_int(head[2], "arity", lineno) if len(head) == 3 else None
-    body, _, i_end = _block_body(lines, i, header)
+    body, starts, i_end = _block_body(lines, i, header)
     if kind == "rel":
-        table = _parse_int_tuples(body, lineno)
+        table = _parse_int_tuples(body, starts)
     else:
         leftover = _FUN_ENTRY_RE.sub("", body).strip()
         if leftover:
+            lineno = _stray_line(body, _FUN_ENTRY_RE, starts, 0)
             raise ParseError(f"stray text {leftover!r} in function block", lineno, 1)
         table = {
-            _int_tuple(m.group(1), lineno): int(m.group(2))
-            for m in _FUN_ENTRY_RE.finditer(body)
+            _int_tuple(m, starts, 0): int(m.group(2)) for m in _FUN_ENTRY_RE.finditer(body)
         }
     if arity is not None and any(len(t) != arity for t in table):
+        pattern = _TUPLE_RE if kind == "rel" else _FUN_ENTRY_RE
+        lineno = _width_line(body, pattern, arity, starts)
         raise ParseError(f"entry of wrong arity in {kind} {name!r}", lineno, 1)
     return name, arity, table, i_end
 
 
-def _block_body(lines: list[tuple[int, str]], i: int, after: str) -> tuple[str, int, int]:
-    """Collect a brace-balanced '{ ... }' starting on line i after the prefix text."""
+def _block_body(lines: list[tuple[int, str]], i: int, after: str):
+    """Collect a brace-balanced '{ ... }' starting on line i after the prefix text.
+
+    Returns the body, its lines joined by spaces; the (offset in the
+    body, line number) of each joined line, for error messages; and the
+    index of the block's last line.
+    """
     lineno, text = lines[i]
     brace = text.find("{", len(after))
     if brace < 0:
         raise ParseError(f"expected '{{' after {after!r}", lineno, 1)
     chunks: list[str] = []
+    starts: list[tuple[int, int]] = [(0, lineno)]
     j, pos, depth = i, brace + 1, 1
     while True:
         line = text if j == i else lines[j][1]
@@ -466,12 +498,13 @@ def _block_body(lines: list[tuple[int, str]], i: int, after: str) -> tuple[str, 
                     if line[k + 1 :].strip():
                         raise ParseError("trailing text after '}'", lines[j][0], 1)
                     chunks.append(line[pos:k])
-                    return " ".join(chunks), lineno, j
+                    return " ".join(chunks), starts, j
         chunks.append(line[pos:])
         j += 1
         pos = 0
         if j >= len(lines):
             raise ParseError("unterminated '{' block", lineno, 1)
+        starts.append((starts[-1][0] + len(chunks[-1]) + 1, lines[j][0]))
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -524,29 +557,30 @@ def parse_model_file(text: str) -> ModelFile:
             if varstop < 0:
                 raise ParseError("expected '{' on the team line", lineno, 1)
             variables = tuple(line[len("team") : varstop].split())
-            body, _, i_end = _block_body(lines, i, line[:varstop])
-            tuples = _parse_int_tuples(body, lineno)
+            body, starts, i_end = _block_body(lines, i, line[:varstop])
+            tuples = _parse_int_tuples(body, starts)
             tname = name_prefix or "T"
+            bad = next((t for t in tuples if len(t) != len(variables)), None)
+            if bad is not None:
+                message = (
+                    f"team row {bad} does not match variables {list(variables)}"
+                    if variables
+                    else "team without variables can only hold ()"
+                )
+                lineno = _width_line(body, _TUPLE_RE, len(variables), starts)
+                raise ParseError(message, lineno, 1)
             if variables:
-                for t in tuples:
-                    if len(t) != len(variables):
-                        raise ParseError(
-                            f"team row {t} does not match variables {list(variables)}",
-                            lineno, 1,
-                        )
                 teams[tname] = Team.from_tuples(variables, tuples)
             else:
-                if tuples and any(t != () for t in tuples):
-                    raise ParseError("team without variables can only hold ()", lineno, 1)
                 teams[tname] = (
                     Team((), frozenset((EMPTY_ASSIGNMENT,))) if tuples else Team.empty()
                 )
             i = i_end + 1
         elif kind == "kripke" and len(head) >= 2:
             worlds = _parse_int(head[1], "world count", lineno)
-            body, _, i_end = _block_body(lines, i, f"kripke {head[1]}")
+            body, starts, i_end = _block_body(lines, i, f"kripke {head[1]}")
             kname = name_prefix or "K"
-            kripkes[kname], kripke_teams[kname] = _parse_kripke_body(body, worlds, lineno)
+            kripkes[kname], kripke_teams[kname] = _parse_kripke_body(body, worlds, starts)
             i = i_end + 1
         else:
             raise ParseError(f"unrecognised model declaration {line!r}", lineno, 1)
@@ -562,34 +596,44 @@ def parse_model_file(text: str) -> ModelFile:
     return ModelFile(structure, teams, kripkes, kripke_teams)
 
 
-def _parse_kripke_body(body: str, worlds: int, lineno: int):
+def _parse_kripke_body(body: str, worlds: int, starts: list[tuple[int, int]]):
+    """Read the ``;``-separated clauses of a kripke block body (see
+    ``_block_body`` for ``starts``).  An error in a clause carries the
+    clause's line, one about the whole block the block's first line."""
     edges: frozenset = frozenset()
     valuation: dict[str, frozenset[int]] = {}
     team: frozenset[int] = frozenset()
     saw_team = False
-    for part in body.split(";"):
-        part = part.strip()
+    pos = 0
+    for raw in body.split(";"):
+        part = raw.lstrip()
+        at = pos + len(raw) - len(part)  # body offset of the clause
+        pos += len(raw) + 1
+        part = part.rstrip()
         if not part:
             continue
         head = part.split()
         if head[0] == "edges":
-            pairs = _parse_int_tuples(part[len("edges") :], lineno)
+            tuples = part[len("edges") :]
+            pairs = _parse_int_tuples(tuples, starts, at + len("edges"))
             if any(len(p) != 2 for p in pairs):
+                lineno = _width_line(tuples, _TUPLE_RE, 2, starts, at + len("edges"))
                 raise ParseError("edges must be pairs", lineno, 1)
             edges = frozenset(pairs)
         elif head[0] in ("val", "team"):
-            words, listed = _world_clause(part, lineno)
+            words, listed = _world_clause(part, starts, at)
             if words[0] == "val" and len(words) == 2:
                 valuation[words[1]] = listed
             elif words == ["team"]:
                 team = listed
                 saw_team = True
             else:
-                raise ParseError(f"unrecognised kripke clause {part!r}", lineno, 1)
+                raise ParseError(f"unrecognised kripke clause {part!r}", _line_at(starts, at), 1)
         else:
-            raise ParseError(f"unrecognised kripke clause {part!r}", lineno, 1)
+            raise ParseError(f"unrecognised kripke clause {part!r}", _line_at(starts, at), 1)
     if not saw_team:
         team = frozenset(range(worlds))
+    lineno = starts[0][1]
     try:
         model = KripkeStructure(worlds, edges, valuation)
     except ValueError as exc:
@@ -599,17 +643,19 @@ def _parse_kripke_body(body: str, worlds: int, lineno: int):
     return model, team
 
 
-def _world_clause(part: str, lineno: int) -> tuple[list[str], frozenset[int]]:
-    """Split ``val NAME { w ... }`` or ``team { w ... }`` into the words
-    before the brace and the listed worlds; text after the brace is an
-    error."""
+def _world_clause(part: str, starts, at: int) -> tuple[list[str], frozenset[int]]:
+    """Split ``val NAME { w ... }`` or ``team { w ... }``, which sits at
+    offset at of a block body, into the words before the brace and the
+    listed worlds; text after the brace is an error."""
     open_b, close_b = part.find("{"), part.find("}")
     if open_b < 0 or close_b < open_b:
-        raise ParseError(f"expected '{{ worlds }}' in {part!r}", lineno, 1)
-    if part[close_b + 1 :].strip():
+        raise ParseError(f"expected '{{ worlds }}' in {part!r}", _line_at(starts, at), 1)
+    tail = part[close_b + 1 :]
+    if tail.strip():
+        lineno = _line_at(starts, at + len(part) - len(tail.lstrip()))
         raise ParseError(f"trailing text after '}}' in {part!r}", lineno, 1)
     try:
         worlds = frozenset(int(w) for w in part[open_b + 1 : close_b].split())
     except ValueError:
-        raise ParseError(f"bad world list in {part!r}", lineno, 1) from None
+        raise ParseError(f"bad world list in {part!r}", _line_at(starts, at), 1) from None
     return part[:open_b].split(), worlds

@@ -225,6 +225,19 @@ def test_mc_so_quantified_formula_needs_no_assignment(capsys, model_file):
     assert (code, out) == (EXIT_TRUE, "true\n")
 
 
+def test_mc_so_reads_the_structures_functions(capsys, tmp_path):
+    model = tmp_path / "fun.model"
+    model.write_text("domain 2\nfun f { (0)->1 (1)->1 }\n", encoding="utf-8")
+    for formula, want in [
+        ("E x. f(x) = x", (EXIT_TRUE, "true\n")),
+        ("A x. f(x) = x", (EXIT_FALSE, "false\n")),
+        # the function variable f shadows the structure's f inside its scope only
+        ("(Ef f:1. A x. !(f(x) = x)) & (E x. f(x) = x)", (EXIT_TRUE, "true\n")),
+    ]:
+        code, out, _ = run(capsys, ["mc-so", "--structure", str(model), "--formula", formula])
+        assert (code, out) == want, formula
+
+
 # ---------------------------------------------------------------------------
 # translate
 

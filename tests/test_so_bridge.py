@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlk import (
     Assignment,
@@ -16,6 +18,7 @@ from tlk import (
     eval_team,
     parse,
 )
+from tlk import so_bridge
 from tlk import syntax as S
 from tlk.so_bridge import (
     EMPTY_SO_ASSIGNMENT,
@@ -277,6 +280,169 @@ def test_eval_so_budget_and_stats():
     assert stats.nodes > 50
 
 
+def _fun_structure():
+    """Unary P = {0}; f(0) = f(1) = 1."""
+    return Structure(2, {"P": frozenset({(0,)})}, {"f": {(0,): 1, (1,): 1}})
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("E x. f(x) = x", True),
+        ("A x. f(x) = f(f(x))", True),
+        ("A x. (P(x) -> f(x) = x)", False),
+        # a function variable shadows the structure's f inside its scope only
+        ("(Ef f:1. A x. !(f(x) = x)) & (E x. f(x) = x)", True),
+        ("(E x. f(x) = x) & (Ef f:1. A x. !(f(x) = x))", True),
+        ("(A x. f(x) = f(f(x))) & (Ef f:1. E x. !(f(x) = f(f(x))))", True),
+        ("Af f:1. E x. f(x) = x", False),
+        # the structure's f is free while f is bound at another sort
+        ("(E y. f(y) = y) & (A f. P(f))", False),
+        ("(A f. P(f)) & (E y. f(y) = y)", False),
+        ("(E x. f(x) = x) & (E2 f:1. E x. f(x))", True),
+        ("(E x. f(x) = x) & (A2 f:1. E x. f(x))", False),
+        ("(E x. f(x) = x) & (Ef g:1. E x. g(f(x)) = x)", True),
+    ],
+)
+def test_eval_so_reads_the_structures_functions(text, want):
+    phi = parse(text, "so")
+    for memo in (True, False):
+        assert eval_so(_fun_structure(), EMPTY_SO_ASSIGNMENT, phi, memo=memo) is want, memo
+
+
+def test_eval_so_an_assigned_function_overrides_the_structures():
+    swap = FunValue.of(1, {(0,): 1, (1,): 0})
+    for memo in (True, False):
+        J = SOAssignment.of(f=swap)
+        assert eval_so(_fun_structure(), J, parse("E x. f(x) = x", "so"), memo=memo) is False
+
+
+def test_eval_so_a_shared_atom_inside_and_outside_a_shadowing_quantifier():
+    x = S.Var("x")
+    fixpoint = S.Eq(S.Func("f", (x,)), x)  # one object, under Ef f and outside it
+    phi = S.And(
+        S.Exists("x", fixpoint), S.ExistsFun("f", 1, S.Forall("x", S.Not(fixpoint)))
+    )
+    for memo in (True, False):
+        assert eval_so(_fun_structure(), EMPTY_SO_ASSIGNMENT, phi, memo=memo) is True
+        flipped = S.And(phi.right, phi.left)
+        assert eval_so(_fun_structure(), EMPTY_SO_ASSIGNMENT, flipped, memo=memo) is True
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("E x. (!P(x,x))", "relation 'P' has arity 1, used with 2"),
+        ("E x. P(x,x)", "relation 'P' has arity 1, used with 2"),
+        ("E x. Q(x)", "structure has no relation 'Q'"),
+        ("E x. g(x) = x", "structure has no function 'g'"),
+        ("(Ef g:1. E x. g(x) = x) & (E x. g(x) = x)", "structure has no function 'g'"),
+    ],
+)
+def test_eval_so_checks_the_structures_symbols(text, message):
+    phi = parse(text, "so")
+    for memo in (True, False):
+        with pytest.raises(ValueError) as info:
+            eval_so(_fun_structure(), EMPTY_SO_ASSIGNMENT, phi, memo=memo)
+        assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The preparation pass
+
+
+def _naive_names(node):
+    return S.free_vars(node) | S.free_relation_vars(node) | S.free_function_vars(node)
+
+
+def _prepared(sentence, assigned=()):
+    ev = so_bridge._SOEvaluator(_structure(), None, EvalStats(), True)
+    ev.prepare(sentence, assigned)
+    return ev
+
+
+def _assert_naive_tables(sentence):
+    ev = _prepared(sentence)
+    for node in S.walk(sentence):
+        assert ev.names[id(node)] == _naive_names(node), S.format_formula(node)
+        assert ev.keynames[id(node)] == tuple(sorted(_naive_names(node)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_prepared_names_equal_the_naive_free_names(seed):
+    rng = random.Random(seed)
+    xy = ("x", "y")
+    phi = random_team_formula(rng, rng.randint(1, 5), xy, dep_rate=0.4)
+    xs = tuple(sorted(S.free_vars(phi) | set(xy)))
+    eta = to_nnf(translate_eta(phi, xs, rel="R0"))
+    zeta = to_nnf(translate_zeta(phi, xs, rel="R0", team_size=3))
+    for sentence in (eta, zeta):
+        _assert_naive_tables(sentence)
+    A = random_structure(rng, rng.randint(1, 2))
+    T = random_team(rng, A.domain_size, xs, max_rows=3)
+    J = SOAssignment.of({"R0": team_relation(A, T, xs)})
+    for sentence in (eta, zeta):
+        assert eval_so(A, J, sentence) is eval_so(A, J, sentence, memo=False)
+
+
+@pytest.mark.parametrize(
+    "text, inner",
+    [("E x. E2 x:1. x(x)", "E2 x:1. x(x)"), ("E x. Ef x:1. x(x) = x", "Ef x:1. x(x) = x")],
+)
+def test_prepared_names_keep_a_name_bound_at_two_sorts_apart(text, inner):
+    phi = parse(text, "so")
+    _assert_naive_tables(phi)
+    ev = _prepared(phi)
+    assert S.format_formula(phi.body) == inner
+    # the inner binder frees the relation (function) x, not the element x
+    assert ev.names[id(phi.body)] == {"x"} and ev.names[id(phi)] == frozenset()
+
+
+def test_prepared_names_of_a_subformula_shared_between_two_parents():
+    x = S.Var("x")
+    shared = S.Or(S.Pred("P", (x,)), S.RelApp("X", (x,)))
+    phi = S.And(S.Forall("x", shared), S.ForallRel("X", 1, shared))
+    _assert_naive_tables(phi)
+    assert _prepared(phi).names[id(shared)] == {"x", "X"}
+    for value in (0, 1):
+        J = SOAssignment.of({"x": value, "X": RelValue.of(1, [(1,)])})
+        verdicts = {eval_so(_structure(), J, phi, memo=memo) for memo in (True, False)}
+        assert verdicts == {value == 0}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(E x. f(x) = x) & (Ef g:1. E x. g(f(x)) = x)",
+        "(E y. f(y) = y) & (A f. P(f))",
+        "(E x. f(x) = x) & (E2 f:1. E x. f(x))",
+    ],
+)
+def test_prepared_structure_functions_are_the_free_unassigned_ones(text):
+    phi = parse(text, "so")
+    _assert_naive_tables(phi)
+    assert _prepared(phi).funcs == {"f"}
+    assert _prepared(phi, {"f": 0}).funcs == frozenset()
+
+
+def test_preparing_a_deep_sentence_reads_each_atom_once(monkeypatch):
+    x = S.Var("x")
+    phi = S.Pred("P", (x,))
+    for i in range(150):
+        phi = S.ExistsRel(f"X{i}", 1, S.Or(S.RelApp(f"X{i}", (x,)), phi))
+    atoms = sum(not S.children(node) for node in S.walk(phi))
+    calls = {}
+    for name in ("free_vars", "free_relation_vars", "free_function_vars"):
+        def counted(node, _real=getattr(S, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(node)
+
+        monkeypatch.setattr(S, name, counted)
+    _prepared(phi)
+    assert all(count <= atoms for count in calls.values()), (calls, atoms)
+
+
 # ---------------------------------------------------------------------------
 # The direct translation
 
@@ -400,21 +566,49 @@ def test_sufficient_bound_frozen_values():
 # Cross-checks against the direct evaluator (small, deterministic)
 
 
-def test_translations_agree_with_direct_evaluation():
+def _translation_corpus():
+    """(phi, A, T, J, eta, zeta) for seeded random team formulas over x, y."""
     rng = random.Random(34034)
     xy = ("x", "y")
-    checked = 0
     for _ in range(60):
         phi = random_team_formula(rng, rng.randint(1, 5), xy, dep_rate=0.4)
         if not S.free_vars(phi) <= {"x", "y"}:
             continue
         A = random_structure(rng, 2)
         T = random_team(rng, 2, xy, max_rows=3)
-        direct = eval_team(A, T, phi)
         J = SOAssignment.of({"R0": team_relation(A, T, xy)})
         eta = translate_eta(phi, xy, rel="R0")
         zeta = translate_zeta(phi, xy, rel="R0", team_size=len(T))
+        yield phi, A, T, J, eta, zeta
+
+
+def test_translations_agree_with_direct_evaluation():
+    checked = 0
+    for phi, A, T, J, eta, zeta in _translation_corpus():
+        direct = eval_team(A, T, phi)
         assert eval_so(A, J, eta) is direct, S.format_formula(phi)
         assert eval_so(A, J, zeta) is direct, S.format_formula(phi)
         checked += 1
     assert checked >= 40
+
+
+def test_eval_so_work_counters_on_the_translation_corpus():
+    """Budget.used, nodes and alternations summed over the corpus, as
+    first recorded; a change to how eval_so prepares a sentence must
+    not move them."""
+    totals = {}
+    for _, A, _, J, eta, zeta in _translation_corpus():
+        for name, sentence in (("eta", eta), ("zeta", zeta)):
+            for memo in (True, False):
+                budget, stats = Budget(), EvalStats()
+                eval_so(A, J, sentence, budget, memo=memo, stats=stats)
+                total = totals.setdefault((name, memo), [0, 0, 0])
+                total[0] += budget.used
+                total[1] += stats.nodes
+                total[2] += stats.alternations
+    assert totals == {
+        ("eta", True): [114135, 81358, 72],
+        ("eta", False): [348812, 268357, 72],
+        ("zeta", True): [107169, 76191, 72],
+        ("zeta", False): [334953, 257699, 72],
+    }

@@ -311,8 +311,32 @@ def test_model_file_rejects(bad):
 @pytest.mark.parametrize(
     "clause", ["val p { 0 } junk", "team { 1 } more"]
 )
-def test_kripke_clause_trailing_text_reports_the_block_line(clause):
+def test_kripke_clause_trailing_text_reports_its_own_line(clause):
     text = f"# a comment\n\nK = kripke 2 {{ edges (0,1) ;\n  {clause} }}"
     with pytest.raises(ParseError, match="trailing text") as info:
         parse_model_file(text)
-    assert info.value.line == 3
+    assert info.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("domain 2\nrel P 1 {\n (0)\n (1) junk\n}", 4),
+        ("domain 2\nrel P 1 {\n (0)\n (x)\n}", 4),
+        ("domain 2\nrel P 1 {\n (0)\n\n (0,1) }", 5),  # another arity than declared
+        ("domain 2\nfun f 1 {\n (0)->1\n (1)->0 junk }", 4),
+        ("domain 2\nfun f 1 {\n (0)->1\n (0,1)->0 }", 4),
+        ("team x y {\n (0,0)\n (0,1) oops\n}", 3),
+        ("team x y {\n (0,0)\n (0) }", 3),
+        ("team {\n ()\n (0) }", 3),
+        ("kripke 2 {\n edges (0,1)\n (1,x) ;\n team { 0 } }", 3),
+        ("kripke 2 {\n edges (0,1)\n (1) ;\n team { 0 } }", 3),
+        ("kripke 2 {\n edges (0,1) ;\n wibble { } }", 3),
+        ("kripke 2 { edges (0,1) ;\n val p {\n 0 } junk }", 3),
+        ("kripke 2 { edges (0,1) ;\n\n val p { 0 x } }", 3),
+    ],
+)
+def test_errors_in_a_multi_line_block_carry_the_faulty_line(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_model_file(text)
+    assert info.value.line == line
