@@ -130,17 +130,19 @@ def _nonempty_subsets(domain_size: int) -> tuple[tuple[int, ...], ...]:
 
 def check_symbols(preds, funcs, structure: Structure) -> None:
     """Raise ValueError unless the structure interprets every predicate
-    (name, arity) in ``preds`` at its arity and every function in ``funcs``."""
-    for name, arity in preds:
-        if name not in structure.relations:
-            raise ValueError(f"structure has no relation {name!r}")
-        if structure.arities[name] != arity:
-            raise ValueError(
-                f"relation {name!r} has arity {structure.arities[name]}, used with {arity}"
-            )
-    for name in funcs:
-        if name not in structure.functions:
-            raise ValueError(f"structure has no function {name!r}")
+    and every function (name, arity) in ``preds`` and ``funcs`` at its
+    arity."""
+    for kind, table, uses in (
+        ("relation", structure.relations, preds),
+        ("function", structure.functions, funcs),
+    ):
+        for name, arity in uses:
+            if name not in table:
+                raise ValueError(f"structure has no {kind} {name!r}")
+            if structure.arities[name] != arity:
+                raise ValueError(
+                    f"{kind} {name!r} has arity {structure.arities[name]}, used with {arity}"
+                )
 
 
 class _Prepared:
@@ -151,8 +153,8 @@ class _Prepared:
     ``hook`` map node ids to flatness (first-order in team logic,
     classical modal in modal team logic), free variables, and for
     hook-shaped disjunctions !a | (a & psi) with flat a the pair
-    (a, psi).  ``preds`` (name, arity), ``funcs`` and ``props`` are the
-    symbols the formula uses.  ``phi`` keeps the formula alive, so the
+    (a, psi).  ``preds`` and ``funcs`` (name, arity) and ``props`` are
+    the symbols the formula uses.  ``phi`` keeps the formula alive, so the
     node ids stay valid as long as the tables are in use.
     """
 
@@ -165,7 +167,7 @@ class _Prepared:
         self.fr: dict[int, frozenset[str]] = {}
         self.hook: dict[int, tuple[S.Formula, S.Formula]] = {}
         self.preds: set[tuple[str, int]] = set()
-        self.funcs: set[str] = set()
+        self.funcs: set[tuple[str, int]] = set()
         self.props: set[str] = set()
         self._visit(phi)
 
@@ -185,7 +187,7 @@ class _Prepared:
             fr[id(node)] = frozenset().union(*(fr[id(c)] for c in kids))
         else:
             fr[id(node)] = S.free_vars(node)
-            self.funcs |= S.free_function_vars(node)
+            self.funcs |= S.function_uses(node)
             self.props |= S.prop_names(node)
             if isinstance(node, S.Pred):
                 self.preds.add((node.name, len(node.args)))

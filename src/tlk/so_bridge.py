@@ -25,8 +25,8 @@ the arity, and function quantifiers enumerate total function tables.
 Quantifiers whose variable does not occur free in their body are
 skipped without enumeration, so vacuous quantifiers cost nothing and do
 not move the existential/universal alternation meter.  Memo keys hold
-the values of a node's free names; a function of the structure that
-the assignment does not override is held there as a marker.
+the values of a node's free names, None for a name the working
+assignment leaves unbound, such as a function of the structure.
 """
 
 from __future__ import annotations
@@ -38,14 +38,17 @@ from dataclasses import dataclass
 from . import syntax as S
 from .evaluator import Budget, EvalStats, check_symbols
 from .structures import (
+    _DECL_RE,
     Structure,
     Team,
-    _content_lines,
+    _error,
+    _file_text,
+    _header,
     _parse_int,
     _table_declaration,
     team_image,
 )
-from .syntax import ParseError, SparseBound
+from .syntax import SparseBound
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +149,25 @@ def team_relation(structure: Structure, team: Team, variables) -> RelValue:
 def parse_so_assignment(text: str) -> SOAssignment:
     """Parse an assignment file: ``elem x 1``, ``rel X 2 { (0,1) (1,0) }``,
     ``fun f 1 { (0)->1 (1)->0 }``; ``#`` comments."""
+    text = _file_text(text)
     entries: dict[str, Value] = {}
-    lines = _content_lines(text)
-    i = 0
-    while i < len(lines):
-        lineno, line = lines[i]
-        head = line.split()
-        if head[0] == "elem" and len(head) == 3:
-            entries[head[1]] = _parse_int(head[2], "element", lineno)
-        elif head[0] in ("rel", "fun"):
-            name, arity, table, i = _table_declaration(lines, i)
+    pos = 0
+    while m := _DECL_RE.match(text, pos):
+        kind, start = m.group(2), m.start(2)
+        head, brace, pos = _header(text, start)
+        if kind == "elem" and len(head) == 3 and brace < 0:
+            name, value = head[1], _parse_int(head[2], "element", text, start)
+        elif kind in ("rel", "fun"):
+            name, arity, table, pos = _table_declaration(text, start, head, brace)
             if arity is None:
-                raise ParseError(f"{head[0]} {name!r} needs an arity", lineno, 1)
-            value = RelValue.of if head[0] == "rel" else FunValue.of
-            entries[name] = value(arity, table)
+                raise _error(f"{kind} {name!r} needs an arity", text, start)
+            value = (RelValue.of if kind == "rel" else FunValue.of)(arity, table)
         else:
-            raise ParseError(f"unrecognised assignment line {line!r}", lineno, 1)
-        i += 1
+            line = text[start:pos].rstrip()
+            raise _error(f"unrecognised assignment line {line!r}", text, start)
+        if name in entries:
+            raise _error(f"{name!r} is assigned twice", text, start)
+        entries[name] = value
     return SOAssignment.of(entries)
 
 
@@ -211,7 +216,6 @@ def _nnf(phi: S.Formula, positive: bool) -> S.Formula:
 
 
 _MISSING = object()
-_UNBOUND = object()
 _NONE: frozenset[str] = frozenset()
 _REL_BINDERS = (S.ExistsRel, S.ForallRel, S.ExistsRelSparse, S.ForallRelSparse)
 
@@ -237,6 +241,8 @@ def _eval_so_term(structure: Structure, J: dict, t: S.Term) -> int:
     if f is not _MISSING:
         if not isinstance(f, FunValue):
             raise ValueError(f"{t.name!r} is not a function here")
+        if f.arity != len(args):
+            raise ValueError(f"function {t.name!r} has arity {f.arity}, used with {len(args)}")
         return f.apply(args)
     return structure.apply(t.name, args)
 
@@ -260,22 +266,25 @@ class _SOEvaluator:
         self.keynames: dict[int, tuple[str, ...]] = {}
         self.preds: set[tuple[str, int]] = set()
         self.funcs: frozenset[str] = _NONE
+        self.fun_uses: list[tuple[str, int]] = []
 
     def prepare(self, phi: S.Formula, assigned) -> None:
         """Fill ``names`` and ``keynames`` in one bottom-up pass.
 
         The pass keeps each node's free element, relation and function
         names apart, so a binder removes its name from its own sort
-        only; ``names`` holds their union.  ``preds`` gets the
-        predicates (with arity) and ``funcs`` the free function names
-        that ``assigned`` does not bind, which the structure must
-        interpret; ``eval_so`` enters them into the assignment as
-        ``_MISSING``, which terms read as the structure's function.
+        only; ``names`` holds their union.  A fourth set holds the
+        (name, arity) of each free function application.  ``preds``
+        gets the predicates (with arity), ``funcs`` the free function
+        names that ``assigned`` does not bind and ``fun_uses`` their
+        applications: these functions are the structure's, which must
+        interpret them at those arities.
         """
         sorts: dict[int, tuple] = {}  # per-sort free names, dropped after the pass
         self._visit(phi, sorts)
-        fun = sorts[id(phi)][2]
+        fun, uses = sorts[id(phi)][2:]
         self.funcs = fun.difference(assigned) if fun else _NONE
+        self.fun_uses = [u for u in uses if u[0] in self.funcs]
         # nodes with equal names share one key tuple
         keys: dict[frozenset[str], tuple[str, ...]] = {}
         for k, ns in self.names.items():
@@ -294,33 +303,28 @@ class _SOEvaluator:
         if not kids:  # an atom, top or bot: read its own terms
             elem = S.free_vars(node) or _NONE
             rel = frozenset((node.name,)) if isinstance(node, S.RelApp) else _NONE
-            fun = S.free_function_vars(node) or _NONE
+            uses = S.function_uses(node) or _NONE
+            fun = frozenset(name for name, _ in uses) if uses else _NONE
             if isinstance(node, S.Pred):
                 self.preds.add((node.name, len(node.args)))
         elif len(kids) == 1:
-            elem, rel, fun = sorts[id(kids[0])]
+            elem, rel, fun, uses = sorts[id(kids[0])]
             if isinstance(node, (S.Exists, S.Forall)):
                 elem = _without(elem, node.var)
-            elif isinstance(node, (S.ExistsFun, S.ForallFun)):
-                fun = _without(fun, node.name)
+            elif isinstance(node, (S.ExistsFun, S.ForallFun)) and node.name in fun:
+                fun = fun - {node.name}
+                uses = frozenset(u for u in uses if u[0] != node.name)
             elif isinstance(node, _REL_BINDERS):
                 rel = _without(rel, node.name)
         else:
             left, right = sorts[id(kids[0])], sorts[id(kids[1])]
-            elem, rel, fun = (_union(a, b) for a, b in zip(left, right))
-        sorts[id(node)] = (elem, rel, fun)
+            elem, rel, fun, uses = (_union(a, b) for a, b in zip(left, right))
+        sorts[id(node)] = (elem, rel, fun, uses)
         self.names[id(node)] = _union(_union(elem, rel), fun)
-
-    def charge(self):
-        if self.budget is not None:
-            self.budget.charge()
 
     def eval(self, J: dict, phi: S.Formula, mode: str | None, switches: int) -> bool:
         if self.memo_enabled:
-            try:
-                key = (id(phi),) + tuple([J[k] for k in self.keynames[id(phi)]])
-            except KeyError as exc:
-                raise ValueError(f"unassigned variable {exc.args[0]!r}") from None
+            key = (id(phi), *map(J.get, self.keynames[id(phi)]))
             hit = self.memo.get(key, _MISSING)
             if hit is not _MISSING:
                 return hit
@@ -373,10 +377,7 @@ class _SOEvaluator:
             self.stats.alternations = switches
         body = phi.body
         budget = self.budget
-        # not _MISSING: a structure function sits in J as _MISSING and is
-        # restored as a value
-        missing = _UNBOUND
-        old = J.get(var, missing)
+        old = J.get(var, _MISSING)
         try:
             for c in self._candidates(phi):
                 if budget is not None:
@@ -386,7 +387,7 @@ class _SOEvaluator:
                     return existential
             return not existential
         finally:
-            if old is missing:
+            if old is _MISSING:
                 J.pop(var, None)
             else:
                 J[var] = old
@@ -525,14 +526,13 @@ def eval_so(
     records each node's free names and the symbols phi uses, in time
     linear in its size.  A predicate must be a relation of the structure
     at the arity used, and a function name free in phi that the
-    assignment does not bind must be a function of the structure;
-    otherwise ``ValueError`` is raised once, before evaluation.  Such
-    structure functions enter the working assignment as a marker that
-    terms read as the structure's function, so memo keys (``memo=True``)
-    tell them apart from a value that a quantifier binds to the same
-    name, of any sort.  ``stats.alternations`` reports the largest
-    number of existential/universal switches met along one evaluation
-    path (with ``memo=True`` shared verdicts can hide some paths; pass
+    assignment does not bind must be a function of the structure at
+    the arity used; otherwise ``ValueError`` is raised once, before
+    evaluation.  Memo keys (``memo=True``) read such a name as None,
+    which no value that a quantifier binds to it equals.
+    ``stats.alternations`` reports the largest number of
+    existential/universal switches met along one evaluation path (with
+    ``memo=True`` shared verdicts can hide some paths; pass
     ``memo=False`` when the meter itself matters).
     """
     S.check_language(phi, "so")
@@ -540,9 +540,7 @@ def eval_so(
     J = dict(assignment.entries)
     ev = _SOEvaluator(structure, budget, stats or EvalStats(), memo)
     ev.prepare(nnf, J)
-    check_symbols(ev.preds, ev.funcs, structure)
-    for name in ev.funcs:
-        J[name] = _MISSING
+    check_symbols(ev.preds, ev.fun_uses, structure)
     return ev.eval(J, nnf, None, 0)
 
 

@@ -16,6 +16,14 @@ Model files bundle structures, teams, and Kripke models::
     kripke 3 { edges (0,1) (1,2) ; val p { 0 2 } ; team { 0 } }
 
 Named blocks default to ``T`` for teams and ``K`` for Kripke models.
+``#`` starts a comment.  Each declaration starts a line; a block opens
+with ``{`` on that line and may span lines up to its ``}``, which ends
+its line.  A second domain, a name declared twice, a repeated kripke
+clause and a repeated function entry are errors.  An error names the
+line of the faulty text; the structure and each Kripke model are
+checked once read, so their errors name line 1 and the block's first
+line.  Assignment files (``so_bridge.parse_so_assignment``) are read
+by the same functions.
 """
 
 from __future__ import annotations
@@ -362,10 +370,24 @@ def successor_teams(kripke: KripkeStructure, team: frozenset[int], budget=None):
 
 # ---------------------------------------------------------------------------
 # Model files
+#
+# The reader works on the text at absolute offsets.  Comments are cut and
+# every line ends in one "\n", so each offset keeps its line; the line is
+# counted only when an error is raised.
 
 
-_TUPLE_RE = re.compile(r"\(([^()]*)\)")
-_FUN_ENTRY_RE = re.compile(r"\(([^()]*)\)\s*->\s*(\d+)")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+# the blank text before a declaration, the NAME of ``NAME = team ...`` or
+# ``NAME = kripke ...``, and the declaration's first word
+_DECL_RE = re.compile(
+    r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)[^\S\n]*=[^\S\n]*(?=(?:team|kripke)\s))?(\S+)"
+)
+_BRACE_RE = re.compile(r"[{}]")
+# one item of a block: a tuple and its value (empty for a plain tuple),
+# or a stray word
+_TUPLES_RE = re.compile(r"\(([^()]*)\)()|\S[^\s(]*")
+_ENTRIES_RE = re.compile(r"\(([^()]*)\)\s*->\s*(\d+)|\S[^\s(]*")
+_CLAUSE_RE = re.compile(r"[^;\s][^;]*")
 
 
 @dataclass
@@ -390,136 +412,94 @@ class ModelFile:
             raise KeyError(f"no Kripke block {name!r} in the model file") from None
 
 
-def _parse_int(text: str, what: str, lineno: int) -> int:
+def _file_text(text: str) -> str:
+    """text without ``#`` comments, every line ended by one "\\n"."""
+    return _COMMENT_RE.sub("", "\n".join(text.splitlines())) + "\n"
+
+
+def _error(message: str, text: str, pos: int) -> ParseError:
+    """A ParseError on the line of offset pos."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, 1)
+
+
+def _parse_int(word: str, what: str, text: str, pos: int) -> int:
     try:
-        return int(text)
+        return int(word)
     except ValueError:
-        raise ParseError(f"bad {what} {text!r}", lineno, 1) from None
+        raise _error(f"bad {what} {word!r}", text, pos) from None
 
 
-def _line_at(starts: list[tuple[int, int]], pos: int) -> int:
-    """The line of offset pos in a block body; ``starts`` pairs the
-    offset of each line joined into the body with its number."""
-    return next(lineno for offset, lineno in reversed(starts) if offset <= pos)
+def _header(text: str, start: int) -> tuple[list[str], int, int]:
+    """The words before the first '{' on the line at offset start, the
+    offset of that '{' (-1 when the line has none) and of the line's end."""
+    eol = text.index("\n", start)
+    brace = text.find("{", start, eol)
+    return text[start : brace if brace >= 0 else eol].split(), brace, eol
 
 
-def _stray_line(text: str, pattern: re.Pattern, starts, base: int) -> int:
-    """The line of the first text outside pattern's matches in text,
-    which sits at offset base of a block body."""
-    blanked = pattern.sub(lambda m: " " * len(m.group()), text)
-    return _line_at(starts, base + len(blanked) - len(blanked.lstrip()))
-
-
-def _int_tuple(m: re.Match, starts, base: int) -> tuple[int, ...]:
-    """The integer tuple of match m, whose text sits at offset base of a
-    block body."""
-    inner = m.group(1).strip()
-    if not inner:
-        return ()
-    try:
-        return tuple(map(int, inner.split(",")))
-    except ValueError:
-        raise ParseError(f"bad tuple ({inner})", _line_at(starts, base + m.start()), 1) from None
-
-
-def _parse_int_tuples(text: str, starts, base: int = 0) -> list[tuple[int, ...]]:
-    """The tuples '(a,b) (c,d) ...' of text, which sits at offset base of
-    a block body; errors carry the line of the faulty text."""
-    stripped = _TUPLE_RE.sub("", text).strip()
-    if stripped:
-        lineno = _stray_line(text, _TUPLE_RE, starts, base)
-        raise ParseError(f"stray text {stripped!r} in tuple list", lineno, 1)
-    return [_int_tuple(m, starts, base) for m in _TUPLE_RE.finditer(text)]
-
-
-def _width_line(text: str, pattern: re.Pattern, width: int, starts, base: int = 0) -> int:
-    """The line of the first tuple in text whose width is not width."""
-    m = next(m for m in pattern.finditer(text) if len(_int_tuple(m, starts, base)) != width)
-    return _line_at(starts, base + m.start())
-
-
-def _table_declaration(lines: list[tuple[int, str]], i: int):
-    """Read ``rel NAME [ARITY] { (a,b) ... }`` or ``fun NAME [ARITY] {
-    (a,b)->v ... }`` starting on line i.
-
-    Returns the name, the arity (None when omitted), the tuple list or
-    the function table, and the index of the block's last line.  Stray
-    text and rows of another arity than the declared one are errors.
-    """
-    lineno, line = lines[i]
-    brace = line.find("{")
-    header = line[:brace] if brace >= 0 else line
-    head = header.split()
-    if len(head) not in (2, 3):
-        raise ParseError(f"expected '{head[0]} NAME [ARITY] {{ ... }}'", lineno, 1)
-    kind, name = head[0], head[1]
-    arity = _parse_int(head[2], "arity", lineno) if len(head) == 3 else None
-    body, starts, i_end = _block_body(lines, i, header)
-    if kind == "rel":
-        table = _parse_int_tuples(body, starts)
-    else:
-        leftover = _FUN_ENTRY_RE.sub("", body).strip()
-        if leftover:
-            lineno = _stray_line(body, _FUN_ENTRY_RE, starts, 0)
-            raise ParseError(f"stray text {leftover!r} in function block", lineno, 1)
-        table = {
-            _int_tuple(m, starts, 0): int(m.group(2)) for m in _FUN_ENTRY_RE.finditer(body)
-        }
-    if arity is not None and any(len(t) != arity for t in table):
-        pattern = _TUPLE_RE if kind == "rel" else _FUN_ENTRY_RE
-        lineno = _width_line(body, pattern, arity, starts)
-        raise ParseError(f"entry of wrong arity in {kind} {name!r}", lineno, 1)
-    return name, arity, table, i_end
-
-
-def _block_body(lines: list[tuple[int, str]], i: int, after: str):
-    """Collect a brace-balanced '{ ... }' starting on line i after the prefix text.
-
-    Returns the body, its lines joined by spaces; the (offset in the
-    body, line number) of each joined line, for error messages; and the
-    index of the block's last line.
-    """
-    lineno, text = lines[i]
-    brace = text.find("{", len(after))
+def _block(text: str, start: int, brace: int) -> tuple[int, int]:
+    """The offset of the '}' closing the '{' at offset brace of the
+    declaration at offset start, and the end of the '}''s line, where the
+    next declaration may begin; text after the '}' on its line is an error."""
     if brace < 0:
-        raise ParseError(f"expected '{{' after {after!r}", lineno, 1)
-    chunks: list[str] = []
-    starts: list[tuple[int, int]] = [(0, lineno)]
-    j, pos, depth = i, brace + 1, 1
-    while True:
-        line = text if j == i else lines[j][1]
-        for k in range(pos, len(line)):
-            ch = line[k]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    if line[k + 1 :].strip():
-                        raise ParseError("trailing text after '}'", lines[j][0], 1)
-                    chunks.append(line[pos:k])
-                    return " ".join(chunks), starts, j
-        chunks.append(line[pos:])
-        j += 1
-        pos = 0
-        if j >= len(lines):
-            raise ParseError("unterminated '{' block", lineno, 1)
-        starts.append((starts[-1][0] + len(chunks[-1]) + 1, lines[j][0]))
+        raise _error("expected '{' on the declaration's first line", text, start)
+    depth = 0
+    for m in _BRACE_RE.finditer(text, brace):
+        depth += 1 if m.group() == "{" else -1
+        if not depth:
+            end = text.index("\n", m.start())
+            if text[m.end() : end].strip():
+                raise _error("trailing text after '}'", text, m.start())
+            return m.start(), end
+    raise _error("unterminated '{' block", text, start)
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """Numbered nonblank lines with ``#`` comments removed."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
-    return lines
+def _tuples(text: str, start: int, end: int, width, what: str, items=_TUPLES_RE) -> dict:
+    """Read the tuples ``(a,b) ...`` of text[start:end], or with
+    ``_ENTRIES_RE`` the entries ``(a,b)->v ...``, in one pass.
+
+    Returns a dict from each tuple to its value (None for a plain
+    tuple).  Stray text, a bad tuple, a tuple of another width than
+    ``width`` (unless None) and a second entry for one tuple are errors
+    on the line where they stand.
+    """
+    table: dict = {}
+    for m in items.finditer(text, start, end):
+        inner, value = m.groups()
+        if inner is None:
+            raise _error(f"stray text {m.group()!r} in {what}", text, m.start())
+        inner = inner.strip()
+        try:
+            row = tuple(map(int, inner.split(","))) if inner else ()
+        except ValueError:
+            raise _error(f"bad tuple ({inner})", text, m.start()) from None
+        if width is not None and len(row) != width:
+            raise _error(f"{row} in {what} has width {len(row)}, not {width}", text, m.start())
+        if value and row in table:
+            raise _error(f"{what} lists {row} twice", text, m.start())
+        table[row] = int(value) if value else None
+    return table
+
+
+def _table_declaration(text: str, start: int, head: list[str], brace: int):
+    """Read ``rel NAME [ARITY] { (a,b) ... }`` or ``fun NAME [ARITY] {
+    (a,b)->v ... }`` declared at offset start, whose words before the
+    '{' at offset brace are ``head``.  Returns the name, the arity (None
+    when omitted), the table (see ``_tuples``) and the offset where the
+    next declaration may begin."""
+    if len(head) not in (2, 3):
+        raise _error(f"expected '{head[0]} NAME [ARITY] {{ ... }}'", text, start)
+    kind, name = head[0], head[1]
+    arity = _parse_int(head[2], "arity", text, start) if len(head) == 3 else None
+    close, end = _block(text, start, brace)
+    items = _TUPLES_RE if kind == "rel" else _ENTRIES_RE
+    return name, arity, _tuples(text, brace + 1, close, arity, f"{kind} {name!r}", items), end
 
 
 def parse_model_file(text: str) -> ModelFile:
-    """Parse a model file (structure, named teams, Kripke blocks)."""
-    lines = _content_lines(text)
+    """Parse a model file (structure, named teams, Kripke blocks); the
+    module docstring gives the format."""
+    text = _file_text(text)
 
     domain_size: int | None = None
     relations: dict[str, frozenset] = {}
@@ -529,61 +509,46 @@ def parse_model_file(text: str) -> ModelFile:
     kripkes: dict[str, KripkeStructure] = {}
     kripke_teams: dict[str, frozenset[int]] = {}
 
-    i = 0
-    while i < len(lines):
-        lineno, line = lines[i]
-        name_prefix = None
-        m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)", line)
-        if m and m.group(2).split(None, 1)[0:1] in (["team"], ["kripke"]):
-            name_prefix, line = m.group(1), m.group(2)
-            lines[i] = (lineno, line)
-
-        head = line.split()
-        kind = head[0]
-        if kind == "domain" and len(head) == 2:
-            domain_size = _parse_int(head[1], "domain size", lineno)
-            i += 1
+    pos = 0
+    while m := _DECL_RE.match(text, pos):
+        name, kind, start = m.group(1), m.group(2), m.start(2)
+        head, brace, pos = _header(text, start)
+        if kind == "domain" and len(head) == 2 and brace < 0:
+            if domain_size is not None:
+                raise _error("second domain declaration", text, start)
+            domain_size = _parse_int(head[1], "domain size", text, start)
         elif kind in ("rel", "fun"):
-            name, arity, table, i_end = _table_declaration(lines, i)
+            name, arity, table, pos = _table_declaration(text, start, head, brace)
+            if name in relations or name in functions:
+                raise _error(f"{name!r} is declared twice", text, start)
             if arity is not None:
                 arities[name] = arity
             if kind == "rel":
                 relations[name] = frozenset(table)
             else:
                 functions[name] = table
-            i = i_end + 1
         elif kind == "team":
-            varstop = line.find("{")
-            if varstop < 0:
-                raise ParseError("expected '{' on the team line", lineno, 1)
-            variables = tuple(line[len("team") : varstop].split())
-            body, starts, i_end = _block_body(lines, i, line[:varstop])
-            tuples = _parse_int_tuples(body, starts)
-            tname = name_prefix or "T"
-            bad = next((t for t in tuples if len(t) != len(variables)), None)
-            if bad is not None:
-                message = (
-                    f"team row {bad} does not match variables {list(variables)}"
-                    if variables
-                    else "team without variables can only hold ()"
-                )
-                lineno = _width_line(body, _TUPLE_RE, len(variables), starts)
-                raise ParseError(message, lineno, 1)
-            if variables:
-                teams[tname] = Team.from_tuples(variables, tuples)
-            else:
-                teams[tname] = (
-                    Team((), frozenset((EMPTY_ASSIGNMENT,))) if tuples else Team.empty()
-                )
-            i = i_end + 1
-        elif kind == "kripke" and len(head) >= 2:
-            worlds = _parse_int(head[1], "world count", lineno)
-            body, starts, i_end = _block_body(lines, i, f"kripke {head[1]}")
-            kname = name_prefix or "K"
-            kripkes[kname], kripke_teams[kname] = _parse_kripke_body(body, worlds, starts)
-            i = i_end + 1
+            variables = tuple(head[1:])
+            if len(set(variables)) != len(variables):
+                raise _error(f"duplicate team variables in {variables}", text, start)
+            name = name or "T"
+            if name in teams:
+                raise _error(f"second team {name!r}", text, start)
+            close, pos = _block(text, start, brace)
+            rows = _tuples(text, brace + 1, close, len(variables), "team")
+            teams[name] = Team.from_tuples(variables, rows)
+        elif kind == "kripke":
+            if len(head) != 2:
+                raise _error("expected 'kripke WORLDS { ... }'", text, start)
+            worlds = _parse_int(head[1], "world count", text, start)
+            name = name or "K"
+            if name in kripkes:
+                raise _error(f"second kripke block {name!r}", text, start)
+            close, pos = _block(text, start, brace)
+            kripkes[name], kripke_teams[name] = _kripke_body(text, start, brace, close, worlds)
         else:
-            raise ParseError(f"unrecognised model declaration {line!r}", lineno, 1)
+            line = text[start:pos].rstrip()
+            raise _error(f"unrecognised model declaration {line!r}", text, start)
 
     structure = None
     if domain_size is not None:
@@ -596,66 +561,50 @@ def parse_model_file(text: str) -> ModelFile:
     return ModelFile(structure, teams, kripkes, kripke_teams)
 
 
-def _parse_kripke_body(body: str, worlds: int, starts: list[tuple[int, int]]):
-    """Read the ``;``-separated clauses of a kripke block body (see
-    ``_block_body`` for ``starts``).  An error in a clause carries the
-    clause's line, one about the whole block the block's first line."""
+def _kripke_body(text: str, start: int, brace: int, close: int, worlds: int):
+    """Read the ``;``-separated clauses between the braces at offsets
+    brace and close of the kripke block declared at offset start.  An
+    error in a clause carries the clause's line, one about the whole
+    block the block's first line."""
     edges: frozenset = frozenset()
     valuation: dict[str, frozenset[int]] = {}
-    team: frozenset[int] = frozenset()
-    saw_team = False
-    pos = 0
-    for raw in body.split(";"):
-        part = raw.lstrip()
-        at = pos + len(raw) - len(part)  # body offset of the clause
-        pos += len(raw) + 1
-        part = part.rstrip()
-        if not part:
-            continue
-        head = part.split()
-        if head[0] == "edges":
-            tuples = part[len("edges") :]
-            pairs = _parse_int_tuples(tuples, starts, at + len("edges"))
-            if any(len(p) != 2 for p in pairs):
-                lineno = _width_line(tuples, _TUPLE_RE, 2, starts, at + len("edges"))
-                raise ParseError("edges must be pairs", lineno, 1)
-            edges = frozenset(pairs)
-        elif head[0] in ("val", "team"):
-            words, listed = _world_clause(part, starts, at)
+    team = frozenset(range(worlds))  # without a team clause, every world
+    seen: set[str] = set()
+    for m in _CLAUSE_RE.finditer(text, brace + 1, close):
+        at, end = m.span()
+        clause = m.group().rstrip()
+        first = clause.split()[0]
+        if first == "edges":
+            key = first
+            edges = frozenset(_tuples(text, at + len(first), end, 2, "edges"))
+        elif first in ("val", "team"):
+            open_b, close_b = text.find("{", at, end), text.find("}", at, end)
+            if open_b < 0 or close_b < open_b:
+                raise _error(f"expected '{{ worlds }}' in {clause!r}", text, at)
+            tail = text[close_b + 1 : end].lstrip()
+            if tail:
+                raise _error(f"trailing text after '}}' in {clause!r}", text, end - len(tail))
+            try:
+                listed = frozenset(map(int, text[open_b + 1 : close_b].split()))
+            except ValueError:
+                raise _error(f"bad world list in {clause!r}", text, at) from None
+            words = text[at:open_b].split()
+            key = " ".join(words)
             if words[0] == "val" and len(words) == 2:
                 valuation[words[1]] = listed
-            elif words == ["team"]:
+            elif key == "team":
                 team = listed
-                saw_team = True
             else:
-                raise ParseError(f"unrecognised kripke clause {part!r}", _line_at(starts, at), 1)
+                raise _error(f"unrecognised kripke clause {clause!r}", text, at)
         else:
-            raise ParseError(f"unrecognised kripke clause {part!r}", _line_at(starts, at), 1)
-    if not saw_team:
-        team = frozenset(range(worlds))
-    lineno = starts[0][1]
+            raise _error(f"unrecognised kripke clause {clause!r}", text, at)
+        if key in seen:
+            raise _error(f"repeated kripke clause {key!r}", text, at)
+        seen.add(key)
     try:
         model = KripkeStructure(worlds, edges, valuation)
     except ValueError as exc:
-        raise ParseError(str(exc), lineno, 1) from None
+        raise _error(str(exc), text, start) from None
     if any(w not in range(worlds) for w in team):
-        raise ParseError("kripke team leaves the worlds", lineno, 1)
+        raise _error("kripke team leaves the worlds", text, start)
     return model, team
-
-
-def _world_clause(part: str, starts, at: int) -> tuple[list[str], frozenset[int]]:
-    """Split ``val NAME { w ... }`` or ``team { w ... }``, which sits at
-    offset at of a block body, into the words before the brace and the
-    listed worlds; text after the brace is an error."""
-    open_b, close_b = part.find("{"), part.find("}")
-    if open_b < 0 or close_b < open_b:
-        raise ParseError(f"expected '{{ worlds }}' in {part!r}", _line_at(starts, at), 1)
-    tail = part[close_b + 1 :]
-    if tail.strip():
-        lineno = _line_at(starts, at + len(part) - len(tail.lstrip()))
-        raise ParseError(f"trailing text after '}}' in {part!r}", lineno, 1)
-    try:
-        worlds = frozenset(int(w) for w in part[open_b + 1 : close_b].split())
-    except ValueError:
-        raise ParseError(f"bad world list in {part!r}", _line_at(starts, at), 1) from None
-    return part[:open_b].split(), worlds

@@ -74,11 +74,11 @@ def term_vars(t: Term) -> frozenset[str]:
     return frozenset(out)
 
 
-def term_functions(t: Term) -> frozenset[str]:
-    """All function names occurring in a term."""
+def term_functions(t: Term) -> frozenset[tuple[str, int]]:
+    """The (name, arity) of every function application in a term."""
     if isinstance(t, Var):
         return frozenset()
-    out = {t.name}
+    out = {(t.name, len(t.args))}
     for a in t.args:
         out |= term_functions(a)
     return frozenset(out)
@@ -687,8 +687,10 @@ def free_relation_vars(phi: Formula) -> frozenset[str]:
     return out
 
 
-def _term_function_names(phi: Formula) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
+def function_uses(phi: Formula) -> frozenset[tuple[str, int]]:
+    """The (name, arity) of every function application in the terms of
+    an atom (empty for any other node)."""
+    out: frozenset[tuple[str, int]] = frozenset()
     if isinstance(phi, (Pred, RelApp, DepAtom)):
         for t in phi.args:
             out |= term_functions(t)
@@ -703,7 +705,7 @@ def free_function_vars(phi: Formula) -> frozenset[str]:
     Vocabulary functions and free function variables are syntactically
     alike; the split is made against a vocabulary or an assignment.
     """
-    out = _term_function_names(phi)
+    out = frozenset(name for name, _ in function_uses(phi))
     if isinstance(phi, (ExistsFun, ForallFun)):
         return free_function_vars(phi.body) - {phi.name}
     for c in children(phi):

@@ -400,6 +400,15 @@ def test_checks_against_team_and_structure_run_on_every_call():
         assert _error(lambda: eval_team(structure, team, phi)) == cold
 
 
+@pytest.mark.parametrize("text", ["f(x,y) = x", "P(f(x,y))", "dep(f(x,y),y)"])
+def test_function_arity_is_checked_against_the_structure(text):
+    A = Structure(2, {"P": frozenset({(0,)})}, {"f": {(0,): 1, (1,): 0}})
+    T = Team.from_tuples(XY, [(0, 1)])
+    for memo in (True, False):
+        message = _error(lambda: eval_team(A, T, parse(text, "team"), memo=memo))
+        assert message == "function 'f' has arity 1, used with 2"
+
+
 def test_language_check_runs_on_every_call():
     K = KripkeStructure(2, frozenset({(0, 1)}), {"p": frozenset({1})})
     modal = parse("<>p", "mtl")

@@ -122,6 +122,10 @@ def test_parse_so_assignment_rejects_bad_lines():
         "elem y 0\nfun f 1 { (0)->1 (1)->0 junk }",  # stray text, as model files reject it
         "elem y 0\nrel X two { (0) }",
         "elem y 0\nelem x one",
+        "elem y 0\nelem y 1",  # a later entry never overrides an earlier one
+        "elem y 0\nrel y 1 { (0) }",
+        "rel X 1 { (0) }\nfun X 1 { (0)->0 (1)->0 }",
+        "elem y 0\nfun f 1 { (0)->1 (1)->0 (0)->0 }",
     ],
 )
 def test_parse_so_assignment_errors_carry_the_line(text):
@@ -337,6 +341,8 @@ def test_eval_so_a_shared_atom_inside_and_outside_a_shadowing_quantifier():
         ("E x. Q(x)", "structure has no relation 'Q'"),
         ("E x. g(x) = x", "structure has no function 'g'"),
         ("(Ef g:1. E x. g(x) = x) & (E x. g(x) = x)", "structure has no function 'g'"),
+        ("E x. E y. f(x,y) = x", "function 'f' has arity 1, used with 2"),
+        ("E x. P(f(x,x))", "function 'f' has arity 1, used with 2"),
     ],
 )
 def test_eval_so_checks_the_structures_symbols(text, message):
@@ -345,6 +351,27 @@ def test_eval_so_checks_the_structures_symbols(text, message):
         with pytest.raises(ValueError) as info:
             eval_so(_fun_structure(), EMPTY_SO_ASSIGNMENT, phi, memo=memo)
         assert str(info.value) == message
+
+
+def test_eval_so_checks_an_assigned_functions_arity():
+    swap = SOAssignment.of(g=FunValue.of(1, {(0,): 1, (1,): 0}))
+    for memo in (True, False):
+        with pytest.raises(ValueError, match="function 'g' has arity 1, used with 2"):
+            eval_so(_fun_structure(), swap, parse("E x. E y. g(x,y) = x", "so"), memo=memo)
+
+
+def test_eval_so_a_bound_function_is_not_the_structures():
+    # f:2 under Ef is a function variable; only the free, unary f is checked
+    phi = parse("(Ef f:2. E x. f(x,x) = x) & (E x. f(x) = x)", "so")
+    for memo in (True, False):
+        assert eval_so(_fun_structure(), EMPTY_SO_ASSIGNMENT, phi, memo=memo) is True
+
+
+def test_eval_so_a_name_evaluation_never_reads_may_stay_unassigned():
+    for memo in (True, False):
+        assert eval_so(_fun_structure(), EMPTY_SO_ASSIGNMENT, parse("top | P(x)", "so"), memo=memo)
+        with pytest.raises(ValueError, match="unassigned variable 'x'"):
+            eval_so(_fun_structure(), EMPTY_SO_ASSIGNMENT, parse("bot | P(x)", "so"), memo=memo)
 
 
 # ---------------------------------------------------------------------------

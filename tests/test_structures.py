@@ -301,6 +301,18 @@ def test_model_file_empty_domain_team():
         "kripke 2 { edges (0,1) ; val p { 0 } ; team { 1 } more }",
         "kripke 2 { val p q { 0 } }",  # one proposition per val clause
         "kripke 2 { team 1 { 0 } }",
+        "domain 2\ndomain 3",  # a later declaration never overrides an earlier one
+        "domain 2\nrel P 1 { }\nrel P 1 { (0) }",
+        "domain 2\nrel f 1 { }\nfun f 1 { (0)->0 (1)->0 }",
+        "team x { (0) }\nteam x { (1) }",
+        "K = kripke 1 { }\nK = kripke 2 { }",
+        "kripke 2 { val p { 0 } ; val p { 1 } }",
+        "kripke 2 { team { 0 } ; team { 1 } }",
+        "kripke 2 { edges (0,1) ; edges (1,0) }",
+        "domain 2\nfun f 1 { (0)->1 (0)->0 (1)->0 }",
+        "kripke 2 3 { }",
+        "team x x { (0,0) }",
+        "T =\nteam x { (0) }",  # a block's name is on its first line
     ],
 )
 def test_model_file_rejects(bad):
@@ -334,9 +346,86 @@ def test_kripke_clause_trailing_text_reports_its_own_line(clause):
         ("kripke 2 {\n edges (0,1) ;\n wibble { } }", 3),
         ("kripke 2 { edges (0,1) ;\n val p {\n 0 } junk }", 3),
         ("kripke 2 { edges (0,1) ;\n\n val p { 0 x } }", 3),
+        ("domain 2\n\n# again\ndomain 3", 4),
+        ("domain 2\nrel P 1 {\n (0) }\nfun P 1 {\n (0)->0 (1)->0 }", 4),
+        ("T = team x {\n (0) }\nT = team x {\n (1) }", 3),
+        ("K = kripke 1 {\n}\nK = kripke 2 {\n}", 3),
+        ("kripke 2 {\n val p { 0 } ;\n val p { 1 } }", 3),
+        ("kripke 2 {\n team { 0 } ;\n\n team { 1 } }", 4),
+        ("kripke 2 {\n edges (0,1) ;\n edges (1,0) }", 3),
+        ("domain 2\nfun f 1 {\n (0)->1\n (1)->0\n (0)->0 }", 5),
+        ("# a comment\nkripke 2 3 {\n}", 2),
+        ("domain 2\n\nteam x x {\n (0,0) }", 3),
     ],
 )
 def test_errors_in_a_multi_line_block_carry_the_faulty_line(text, line):
     with pytest.raises(ParseError) as info:
         parse_model_file(text)
     assert info.value.line == line
+
+
+def _tuple_text(t) -> str:
+    return "(" + ",".join(map(str, t)) + ")"
+
+
+@st.composite
+def _model_files(draw):
+    """A random model file as (header, items) blocks, plus the objects it
+    declares; the domain line has no items."""
+    n = draw(st.integers(1, 3))
+    blocks = [(f"domain {n}", None)]
+    relations, functions, arities = {}, {}, {}
+    for name in draw(st.lists(st.sampled_from("PQRfgh"), unique=True, max_size=4)):
+        arities[name] = arity = draw(st.integers(0, 2))
+        universe = list(itertools.product(range(n), repeat=arity))
+        if draw(st.booleans()):
+            rows = draw(st.lists(st.sampled_from(universe), unique=True))
+            relations[name] = frozenset(rows)
+            blocks.append((f"rel {name} {arity} {{", [_tuple_text(t) for t in rows]))
+        else:
+            size = len(universe)
+            values = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+            functions[name] = dict(zip(universe, values))
+            entries = [f"{_tuple_text(t)}->{v}" for t, v in zip(universe, values)]
+            blocks.append((f"fun {name} {arity} {{", entries))
+    teams = {}
+    for name in draw(st.lists(st.sampled_from("TU"), unique=True)):
+        variables = draw(st.lists(st.sampled_from("xyz"), unique=True, max_size=2))
+        universe = list(itertools.product(range(n), repeat=len(variables)))
+        rows = draw(st.lists(st.sampled_from(universe), unique=True))
+        teams[name] = Team.from_tuples(variables, rows)
+        blocks.append((f"{name} = team {' '.join(variables)} {{", [_tuple_text(t) for t in rows]))
+    worlds = draw(st.integers(1, 3))
+    world = st.integers(0, worlds - 1)
+    edges = draw(st.lists(st.tuples(world, world), unique=True))
+    props = draw(st.lists(st.sampled_from("pq"), unique=True))
+    valuation = {p: frozenset(draw(st.lists(world, unique=True))) for p in props}
+    team = frozenset(draw(st.lists(world, unique=True)))
+    items = ["edges", *map(_tuple_text, edges)]
+    for p, ws in valuation.items():
+        items += [";", "val", p, "{", *map(str, sorted(ws)), "}"]
+    items += [";", "team", "{", *map(str, sorted(team)), "}"]
+    blocks.append((f"K = kripke {worlds} {{", items))
+    blocks = draw(st.permutations(blocks))
+    kripke = KripkeStructure(worlds, frozenset(edges), valuation)
+    expected = (Structure(n, relations, functions, arities), teams, {"K": kripke}, {"K": team})
+    return blocks, expected
+
+
+_SEPARATORS = st.sampled_from([" ", "\n", "  # a comment\n", "\n\n  "])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_model_files(), st.data())
+def test_model_file_round_trip(model, data):
+    # A block's items may be spread over lines and mixed with comments.
+    blocks, expected = model
+    for spread in (False, True):
+        lines = []
+        for header, items in blocks:
+            parts = [header]
+            for item in [] if items is None else items + ["}"]:
+                parts += [data.draw(_SEPARATORS) if spread else " ", item]
+            lines.append("".join(parts))
+        mf = parse_model_file("\n".join(lines))
+        assert (mf.structure, mf.teams, mf.kripkes, mf.kripke_teams) == expected

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tlk"
+from tlk import parse_model_file
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tlk"
 
 
 def test_package_has_no_assert_statements():
@@ -20,3 +24,13 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_readme_model_file_examples_parse():
+    # The README documents the model-file format by example; the reader
+    # must accept every example it shows.
+    examples = re.findall(r"```text\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert examples
+    for text in examples:
+        model = parse_model_file(text)
+        assert model.structure is not None or model.teams or model.kripkes
