@@ -13,8 +13,9 @@ Subcommands::
     reduce      ptl-sat / ptl-mc hardness reductions
 
 Exit codes: 0 for true/sat/valid verdicts, 1 for false/unsat/
-counterexample verdicts, 2 when a work budget ran out, 64 for usage and
-syntax errors, 66 for unreadable input files.
+counterexample verdicts, 2 when a work budget ran out or a formula is
+nested too deeply to process, 64 for usage and syntax errors, 66 for
+unreadable input files.
 """
 
 from __future__ import annotations
@@ -502,6 +503,10 @@ def main(argv=None) -> int:
         return EXIT_NOFILE
     except BudgetExceeded as exc:
         print(f"tlk: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        # the parser, printer and evaluators recurse once per nesting level
+        print("tlk: formula nested too deeply", file=sys.stderr)
         return EXIT_RESOURCE
     except (ParseError, ValueError, KeyError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

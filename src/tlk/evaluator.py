@@ -16,12 +16,23 @@ Both evaluators take an optional :class:`Budget` (work cap, raising
 :class:`BudgetExceeded`) and an :class:`EvalStats` sink.  Hook-shaped
 disjunctions !a | (a & psi) with first-order a short-circuit through
 the team restriction T_a instead of enumerating covers.
+
+Positional teams.  Inside the evaluators a team is an int bitmask.  A
+frame holds the rows over the sorted variables xs that one call has
+met, numbered in the order they were met, so a mask is as wide as the
+rows in use; enumerations sort a mask's rows by their values, which is
+``Team.sorted_rows`` order.  The frames of a call and their tables of
+restriction and supplementation, kept per row touched, belong to that
+call.  A cover is two masks, and memo keys are (id(phi), frame, mask).
+``eval_team`` restricts its ``Team`` to the free variables of phi and
+converts it once, at entry; rows become ``Assignment`` objects again
+only where a first-order formula or a dependency atom reads them.
+``eval_mtl`` works on masks over worlds, bit w for world w.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import syntax as S
 from .structures import (
@@ -38,6 +49,11 @@ from .structures import (
     team_image,
     team_restrict,
 )
+
+# ``duplicate``, ``successor_teams`` and ``supplement`` are the Team-level
+# counterparts of the mask operations below, which the evaluators no
+# longer call.  They stay importable from this module only because
+# ``perfbench`` wraps the team operations here by name.
 
 
 class BudgetExceeded(RuntimeError):
@@ -114,14 +130,6 @@ def team_satisfying(structure: Structure, team: Team, alpha: S.Formula) -> Team:
     """T_a: the rows of T that classically satisfy the flat formula a."""
     rows = frozenset(s for s in team.rows if eval_fo(structure, s, alpha))
     return Team(team.domain, rows)
-
-
-def _nonempty_subsets(domain_size: int) -> tuple[tuple[int, ...], ...]:
-    """All nonempty subsets of the domain in binary-counter order."""
-    return tuple(
-        tuple(a for a in range(domain_size) if mask >> a & 1)
-        for mask in range(1, 2**domain_size)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +225,146 @@ def _prepared(phi: S.Formula, language: str) -> _Prepared:
 
 
 # ---------------------------------------------------------------------------
+# Positional teams
+
+
+def _indices(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _or_products(options):
+    """Yield the OR of one option per row for every combination, in
+    ``itertools.product(*options)`` order: the first row's option varies
+    slowest.  No rows yield 0 once.  Each row's options are read from its
+    iterable only as far as the enumeration has got; options are ints."""
+    last = len(options) - 1
+    if last < 0:
+        yield 0
+        return
+    sources = [iter(o) for o in options]
+    seen = [[] for _ in options]  # the options read so far, per row
+    picks = [-1] * last  # the option each row before the last is on
+    high = [0] * len(options)  # high[j]: the OR of the picks of the rows before j
+    j = 0
+    while j >= 0:
+        if j == last:
+            h, table = high[j], seen[j]
+            for o in table:
+                yield h | o
+            for o in sources[j]:
+                table.append(o)
+                yield h | o
+            j -= 1
+            continue
+        p, table = picks[j] + 1, seen[j]
+        if p == len(table):
+            o = next(sources[j], None)
+            if o is None:
+                picks[j] = -1
+                j -= 1
+                continue
+            table.append(o)
+        picks[j] = p
+        high[j + 1] = high[j] | table[p]
+        j += 1
+
+
+def _subset_masks(bits):
+    """Yield the OR of every nonempty subset of bits in binary-counter
+    order, bits[0] the lowest digit."""
+    masks = [0]
+    for b in bits:
+        for i in range(len(masks)):
+            m = masks[i] | b
+            masks.append(m)
+            yield m
+
+
+def _covers(indices):
+    """Yield every cover (S, U) of the team whose rows are the given
+    indices, S | U the team, as masks: each row goes to S only, U only,
+    or both, the first row's side varying slowest, which is the order of
+    ``itertools.product((0, 1, 2), repeat=|T|)`` over the rows as listed."""
+    u = max(indices, default=-1) + 1
+    low = (1 << u) - 1
+    sides = [(b, b << u, b | b << u) for b in (1 << i for i in indices)]
+    for pair in _or_products(sides):
+        yield pair & low, pair >> u
+
+
+class _Frame:
+    """The rows over the sorted variables xs that one evaluation has met.
+
+    Rows are numbered in the order they are first met, so a team's mask
+    is as wide as the rows in use, not as the n^k value tuples; a row's
+    ``Assignment`` is made the first time it is read.
+    """
+
+    __slots__ = ("xs", "number", "values", "_rows")
+
+    def __init__(self, xs: tuple[str, ...]):
+        self.xs = xs
+        self.number: dict[tuple[int, ...], int] = {}  # value tuple -> row
+        self.values: list[tuple[int, ...]] = []  # row -> value tuple
+        self._rows: list[Assignment | None] = []
+
+    def bit(self, values: tuple[int, ...]) -> int:
+        """The bit of the row with these values, numbered if new."""
+        i = self.number.get(values)
+        if i is None:
+            i = self.number[values] = len(self.values)
+            self.values.append(values)
+            self._rows.append(None)
+        return 1 << i
+
+    def row(self, i: int) -> Assignment:
+        s = self._rows[i]
+        if s is None:
+            s = self._rows[i] = Assignment(tuple(zip(self.xs, self.values[i])))
+        return s
+
+    def rows(self, mask: int) -> list[Assignment]:
+        return [self.row(i) for i in _indices(mask)]
+
+    def ordered(self, mask: int) -> list[int]:
+        """The rows of the team mask in ``Team.sorted_rows`` order."""
+        return sorted(_indices(mask), key=self.values.__getitem__)
+
+    def pack(self, team: Team) -> int:
+        """Number the rows of a team over xs in this frame, which has no
+        rows yet, and return the team's mask."""
+        for s in team.rows:
+            values = tuple([v for _, v in s.items])
+            self.number[values] = len(self.values)
+            self.values.append(values)
+            self._rows.append(s)
+        return (1 << len(self.values)) - 1
+
+
+def _satisfying(structure: Structure, frame: _Frame, mask: int, alpha: S.Formula) -> int:
+    """T_a as a mask: the rows of the team mask that satisfy the flat a."""
+    kept = 0
+    for i in _indices(mask):
+        if eval_fo(structure, frame.row(i), alpha):
+            kept |= 1 << i
+    return kept
+
+
+# ---------------------------------------------------------------------------
 # The evaluator core shared by first-order and modal team semantics
 
 
 class _Evaluator:
     """Memo, budget and node counting around each subformula evaluation,
-    plus the splitjunction clause.  Subclasses give the remaining
-    clauses (``_eval_inner``), a team's rows in a fixed order
-    (``_rows``) and the team made of some of them (``_team``)."""
+    plus the splitjunction clause.  A team is a frame and a mask (the
+    modal evaluator has no frame); subclasses give the remaining clauses
+    (``_eval_inner``)."""
 
     localize = False
 
@@ -240,31 +380,27 @@ class _Evaluator:
         if self.budget is not None:
             self.budget.charge()
 
-    def eval(self, team, phi: S.Formula) -> bool:
+    def eval(self, frame, mask: int, phi: S.Formula) -> bool:
         if self.localize:
-            team = team_restrict(team, self.fr[id(phi)])
-        key = (id(phi), team)
+            frame, mask = self.restrict(frame, mask, self.fr[id(phi)])
+        key = (id(phi), frame, mask)
         if self.memo_enabled and key in self.memo:
             return self.memo[key]
         if self.budget is not None:
             self.budget.charge()
         self.stats.nodes += 1
-        out = self._eval_inner(team, phi)
+        out = self._eval_inner(frame, mask, phi)
         if self.memo_enabled:
             self.memo[key] = out
         return out
 
-    def _eval_split(self, team, left: S.Formula, right: S.Formula) -> bool:
+    def _eval_split(self, frame, mask: int, left: S.Formula, right: S.Formula) -> bool:
         """Try every cover T = S u U, one of three sides per row."""
-        rows = self._rows(team)
-        for shape in itertools.product((0, 1, 2), repeat=len(rows)):
+        rows = _indices(mask) if frame is None else frame.ordered(mask)
+        for s, u in _covers(rows):
             self.charge()
             self.stats.splits += 1
-            if self.eval(
-                self._team(team, [r for r, side in zip(rows, shape) if side != 1]), left
-            ) and self.eval(
-                self._team(team, [r for r, side in zip(rows, shape) if side != 0]), right
-            ):
+            if self.eval(frame, s, left) and self.eval(frame, u, right):
                 return True
         return False
 
@@ -274,51 +410,106 @@ class _Evaluator:
 
 
 class _TeamEvaluator(_Evaluator):
-    _rows = staticmethod(Team.sorted_rows)
+    """The first-order team clauses.  The frames of one call and their
+    restriction and supplement tables live here, built for the rows
+    touched, and go with the call."""
 
     def __init__(self, structure, prepared, budget, stats, localize, memo):
         super().__init__(prepared, budget, stats, memo)
         self.structure = structure
         self.localize = localize
         self.hook = prepared.hook
-        self.subsets = _nonempty_subsets(structure.domain_size)
+        self.frames: dict[tuple[str, ...], _Frame] = {}
+        # (frame, variable set) -> (frame of the kept variables or None
+        # when all are kept, their columns, {row: bit})
+        self.restricted: dict = {}
+        # (frame, variable) -> (frame with it, its column, whether it was
+        # bound, {row: [bit of s(a/variable) for each a]})
+        self.extended: dict = {}
 
-    @staticmethod
-    def _team(team: Team, rows) -> Team:
-        return Team(team.domain, frozenset(rows))
+    def frame(self, xs: tuple[str, ...]) -> _Frame:
+        frame = self.frames.get(xs)
+        if frame is None:
+            frame = self.frames[xs] = _Frame(xs)
+        return frame
 
-    def _eval_inner(self, team: Team, phi: S.Formula) -> bool:
+    def restrict(self, frame: _Frame, mask: int, variables) -> tuple[_Frame, int]:
+        """T restricted to the variables (a set): its frame and mask; rows
+        that collide merge.  When no variable is dropped this is
+        (frame, mask)."""
+        link = self.restricted.get((frame, variables))
+        if link is None:
+            columns = [k for k, x in enumerate(frame.xs) if x in variables]
+            target = None
+            if len(columns) < len(frame.xs):
+                target = self.frame(tuple(frame.xs[k] for k in columns))
+            link = self.restricted[frame, variables] = (target, columns, {})
+        target, columns, table = link
+        if target is None:
+            return frame, mask
+        out = 0
+        for i in _indices(mask):
+            bit = table.get(i)
+            if bit is None:
+                values = frame.values[i]
+                bit = table[i] = target.bit(tuple(values[k] for k in columns))
+            out |= bit
+        return target, out
+
+    def supplements(self, frame: _Frame, mask: int, var: str) -> tuple[_Frame, list]:
+        """The frame of T[f/var] and, for each row s of the team mask in
+        ``Team.sorted_rows`` order, the bits of s(a/var) for a = 0..n-1."""
+        link = self.extended.get((frame, var))
+        if link is None:
+            xs = tuple(sorted({*frame.xs, var}))
+            link = (self.frame(xs), xs.index(var), var in frame.xs, {})
+            self.extended[frame, var] = link
+        target, k, bound, table = link
+        options = []
+        for i in frame.ordered(mask):
+            bits = table.get(i)
+            if bits is None:
+                values = frame.values[i]
+                head, tail = values[:k], values[k + bound:]
+                bits = table[i] = [
+                    target.bit((*head, a, *tail)) for a in range(self.structure.domain_size)
+                ]
+            options.append(bits)
+        return target, options
+
+    def _eval_inner(self, frame: _Frame, mask: int, phi: S.Formula) -> bool:
         A = self.structure
         if self.flat[id(phi)]:
-            return all(eval_fo(A, s, phi) for s in team.sorted_rows())
+            return all(eval_fo(A, frame.row(i), phi) for i in _indices(mask))
         if isinstance(phi, S.DepAtom):
-            rel = team_image(A, team, phi.args)
+            rel = team_image(A, frame.rows(mask), phi.args)
             host = single_predicate_structure(A.domain_size, rel, len(phi.args))
             return eval_fo(host, EMPTY_ASSIGNMENT, phi.dep.delta)
         if isinstance(phi, S.BoolNot):
-            return not self.eval(team, phi.body)
+            return not self.eval(frame, mask, phi.body)
         if isinstance(phi, S.And):
-            return self.eval(team, phi.left) and self.eval(team, phi.right)
+            return self.eval(frame, mask, phi.left) and self.eval(frame, mask, phi.right)
         if isinstance(phi, S.Or):
             hook = self.hook.get(id(phi))
             if hook is not None:
                 self.stats.hooks += 1
-                return self.eval(team_satisfying(A, team, hook[0]), hook[1])
-            return self._eval_split(team, phi.left, phi.right)
+                return self.eval(frame, _satisfying(A, frame, mask, hook[0]), hook[1])
+            return self._eval_split(frame, mask, phi.left, phi.right)
         if isinstance(phi, S.Exists):
-            return self._eval_exists(team, phi)
+            target, options = self.supplements(frame, mask, phi.var)
+            for supplemented in _or_products([_subset_masks(bits) for bits in options]):
+                self.charge()
+                if self.eval(target, supplemented, phi.body):
+                    return True
+            return False
         if isinstance(phi, S.Forall):
-            return self.eval(duplicate(team, phi.var, A.domain_size), phi.body)
+            target, options = self.supplements(frame, mask, phi.var)
+            duplicated = 0
+            for bits in options:
+                for bit in bits:
+                    duplicated |= bit
+            return self.eval(target, duplicated, phi.body)
         raise ValueError(f"not a team-logic formula: {S.format_formula(phi)}")
-
-    def _eval_exists(self, team: Team, phi: S.Exists) -> bool:
-        rows = team.sorted_rows()
-        for choice in itertools.product(self.subsets, repeat=len(rows)):
-            self.charge()
-            supplemented = supplement(team, phi.var, dict(zip(rows, choice)))
-            if self.eval(supplemented, phi.body):
-                return True
-        return False
 
 
 def eval_team(
@@ -343,15 +534,26 @@ def eval_team(
     The formula's language check, free variables, symbols and per-node
     tables are computed once and reused by the next call with the same
     formula object; the checks against the team and the structure, the
-    memo and the counters are per call.
+    memo and the counters are per call.  Every team value must lie in
+    the structure's domain.  The team is restricted to the free
+    variables of phi (with ``localize``) and packed into a mask once,
+    here.
     """
     prepared = _prepared(phi, "team")
     missing = prepared.fr[id(phi)] - set(team.domain)
     if missing:
         raise ValueError(f"team does not bind free variables {sorted(missing)}")
     check_symbols(prepared.preds, prepared.funcs, structure)
+    n = structure.domain_size
+    for s in team.rows:
+        for _, v in s.items:
+            if not 0 <= v < n:
+                raise ValueError(f"team row {s} leaves the domain {{0..{n - 1}}}")
+    if localize:
+        team = team_restrict(team, prepared.fr[id(phi)])
     ev = _TeamEvaluator(structure, prepared, budget, stats or EvalStats(), localize, memo)
-    return ev.eval(team, phi)
+    frame = ev.frame(team.domain)
+    return ev.eval(frame, frame.pack(team), phi)
 
 
 def eval_hook(
@@ -400,33 +602,65 @@ def eval_ml(kripke: KripkeStructure, world: int, phi: S.Formula) -> bool:
     raise ValueError(f"not a classical modal formula: {S.format_formula(phi)}")
 
 
-class _ModalEvaluator(_Evaluator):
-    _rows = staticmethod(sorted)
+def _successor_table(kripke: KripkeStructure) -> list[int]:
+    """For each world, the mask of its successors."""
+    successors = [0] * kripke.worlds
+    for a, b in kripke.edges:
+        successors[a] |= 1 << b
+    return successors
 
+
+def _image(successors: list[int], team: int) -> int:
+    """RT as a mask: the worlds some world of the team mask has an edge to."""
+    image = 0
+    for w in _indices(team):
+        image |= successors[w]
+    return image
+
+
+def _successor_teams(successors: list[int], team: int, charge):
+    """Yield the successor teams of a world team mask as masks, in
+    ``successor_teams``' order: the subsets S of RT into which every world
+    of T has an edge, ascending, with one ``charge()`` per subset of RT
+    tried.  For the empty team this yields exactly the empty team."""
+    if not team:
+        yield 0
+        return
+    needs = {successors[w] for w in _indices(team)}
+    image = _image(successors, team)
+    candidate = 0
+    while True:
+        charge()
+        if all(candidate & m for m in needs):
+            yield candidate
+        candidate = (candidate - image) & image  # the next subset of RT
+        if not candidate:
+            return
+
+
+class _ModalEvaluator(_Evaluator):
     def __init__(self, kripke, prepared, budget, stats, memo):
         super().__init__(prepared, budget, stats, memo)
         self.kripke = kripke
+        self.successors = _successor_table(kripke)
 
-    @staticmethod
-    def _team(team: frozenset[int], worlds) -> frozenset[int]:
-        return frozenset(worlds)
-
-    def _eval_inner(self, team: frozenset[int], phi: S.Formula) -> bool:
+    def _eval_inner(self, frame: None, team: int, phi: S.Formula) -> bool:
         K = self.kripke
         if self.flat[id(phi)]:
-            return all(eval_ml(K, w, phi) for w in sorted(team))
+            return all(eval_ml(K, w, phi) for w in _indices(team))
         if isinstance(phi, S.BoolNot):
-            return not self.eval(team, phi.body)
+            return not self.eval(None, team, phi.body)
         if isinstance(phi, S.And):
-            return self.eval(team, phi.left) and self.eval(team, phi.right)
+            return self.eval(None, team, phi.left) and self.eval(None, team, phi.right)
         if isinstance(phi, S.Or):
-            return self._eval_split(team, phi.left, phi.right)
+            return self._eval_split(None, team, phi.left, phi.right)
         if isinstance(phi, S.Diamond):
             return any(
-                self.eval(s, phi.body) for s in successor_teams(K, team, self.budget)
+                self.eval(None, s, phi.body)
+                for s in _successor_teams(self.successors, team, self.charge)
             )
         if isinstance(phi, S.Box):
-            return self.eval(K.image(team), phi.body)
+            return self.eval(None, _image(self.successors, team), phi.body)
         raise ValueError(f"not a modal team formula: {S.format_formula(phi)}")
 
 
@@ -451,4 +685,4 @@ def eval_mtl(
     if missing:
         raise ValueError(f"Kripke structure does not value propositions {sorted(missing)}")
     ev = _ModalEvaluator(kripke, prepared, budget, stats or EvalStats(), memo)
-    return ev.eval(team, phi)
+    return ev.eval(None, sum(1 << w for w in team), phi)

@@ -19,11 +19,13 @@ Named blocks default to ``T`` for teams and ``K`` for Kripke models.
 ``#`` starts a comment.  Each declaration starts a line; a block opens
 with ``{`` on that line and may span lines up to its ``}``, which ends
 its line.  A second domain, a name declared twice, a repeated kripke
-clause and a repeated function entry are errors.  An error names the
-line of the faulty text; the structure and each Kripke model are
-checked once read, so their errors name line 1 and the block's first
-line.  Assignment files (``so_bridge.parse_so_assignment``) are read
-by the same functions.
+clause, a repeated function entry and a team value outside the domain
+are errors.  An error names the line of the faulty text; the structure
+and each Kripke model are checked once read, so an error of a relation
+or function (a tuple outside the domain, mixed arities, a partial
+function, a missing arity) names the line of its declaration, and one
+of a Kripke model the block's first line.  Assignment files
+(``so_bridge.parse_so_assignment``) are read by the same functions.
 """
 
 from __future__ import annotations
@@ -313,10 +315,11 @@ def team_restrict(team: Team, variables) -> Team:
     return Team(keep, rows)
 
 
-def team_image(structure: Structure, team: Team, terms: tuple[Term, ...]) -> frozenset[tuple[int, ...]]:
-    """t<T>: the relation {t<s> : s in T}."""
+def team_image(structure: Structure, team, terms: tuple[Term, ...]) -> frozenset[tuple[int, ...]]:
+    """t<T>: the relation {t<s> : s in T}, for a Team or any iterable of
+    its rows."""
     return frozenset(
-        tuple(eval_term(structure, s, t) for t in terms) for s in team.rows
+        tuple(eval_term(structure, s, t) for t in terms) for s in team
     )
 
 
@@ -509,6 +512,12 @@ def parse_model_file(text: str) -> ModelFile:
     kripkes: dict[str, KripkeStructure] = {}
     kripke_teams: dict[str, frozenset[int]] = {}
 
+    # the offset of the domain declaration (under None, first), then of
+    # each rel/fun declaration
+    declared: dict[str | None, int] = {None: 0}
+    # the span of each team's rows, and its rows
+    team_rows: list[tuple[int, int, dict]] = []
+
     pos = 0
     while m := _DECL_RE.match(text, pos):
         name, kind, start = m.group(1), m.group(2), m.start(2)
@@ -517,10 +526,12 @@ def parse_model_file(text: str) -> ModelFile:
             if domain_size is not None:
                 raise _error("second domain declaration", text, start)
             domain_size = _parse_int(head[1], "domain size", text, start)
+            declared[None] = start
         elif kind in ("rel", "fun"):
             name, arity, table, pos = _table_declaration(text, start, head, brace)
             if name in relations or name in functions:
                 raise _error(f"{name!r} is declared twice", text, start)
+            declared[name] = start
             if arity is not None:
                 arities[name] = arity
             if kind == "rel":
@@ -537,6 +548,7 @@ def parse_model_file(text: str) -> ModelFile:
             close, pos = _block(text, start, brace)
             rows = _tuples(text, brace + 1, close, len(variables), "team")
             teams[name] = Team.from_tuples(variables, rows)
+            team_rows.append((brace + 1, close, rows))
         elif kind == "kripke":
             if len(head) != 2:
                 raise _error("expected 'kripke WORLDS { ... }'", text, start)
@@ -552,13 +564,46 @@ def parse_model_file(text: str) -> ModelFile:
 
     structure = None
     if domain_size is not None:
-        try:
-            structure = Structure(domain_size, relations, functions, arities)
-        except ValueError as exc:
-            raise ParseError(str(exc), 1, 1) from None
+        structure = _structure(text, domain_size, relations, functions, arities, declared)
+        domain = set(range(domain_size))
+        for start, end, rows in team_rows:
+            if not {v for row in rows for v in row} <= domain:
+                raise _outside_row(text, start, end, domain)
     elif relations or functions:
         raise ParseError("relations/functions given without a domain", 1, 1)
     return ModelFile(structure, teams, kripkes, kripke_teams)
+
+
+def _outside_row(text: str, start: int, end: int, domain: set[int]) -> ParseError:
+    """The error for the first row of text[start:end] (a team block's
+    rows) with a value outside the domain."""
+    for m in _TUPLES_RE.finditer(text, start, end):
+        (row,) = _tuples(text, m.start(), m.end(), None, "team")
+        if not set(row) <= domain:
+            return _error(f"team row {row} leaves the domain", text, m.start())
+    return _error("a team row leaves the domain", text, start)
+
+
+def _structure(text: str, domain_size: int, relations, functions, arities, declared) -> Structure:
+    """The structure a model file declares.  When ``Structure`` rejects
+    it, the error names the line of the first declaration in ``declared``
+    (name to offset, the domain's under None) that fails the check alone."""
+    try:
+        return Structure(domain_size, relations, functions, arities)
+    except ValueError as exc:
+        fault, at = exc, 0
+    for name, start in declared.items():
+        try:
+            Structure(
+                domain_size,
+                {k: v for k, v in relations.items() if k == name},
+                {k: v for k, v in functions.items() if k == name},
+                {k: v for k, v in arities.items() if k == name},
+            )
+        except ValueError as exc:
+            fault, at = exc, start
+            break
+    raise _error(str(fault), text, at) from None
 
 
 def _kripke_body(text: str, start: int, brace: int, close: int, worlds: int):

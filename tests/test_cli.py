@@ -189,6 +189,24 @@ def test_mc_missing_file_exits_66(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "command, formula",
+    [
+        ("parse", "(" * 400 + "P(x)" + ")" * 400),
+        ("mc", " & ".join(["P(x)"] * 1500)),
+    ],
+)
+def test_deep_nesting_is_a_resource_failure_not_a_verdict(capsys, model_file, command, formula):
+    # Each input exhausts Python's recursion limit; that must not read as
+    # the verdict "false" (exit 1) or end in a traceback.
+    argv = [command, "--formula", formula]
+    if command == "mc":
+        argv += ["--structure", model_file]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_RESOURCE
+    assert (out, err) == ("", "tlk: formula nested too deeply\n")
+
+
 # ---------------------------------------------------------------------------
 # mc-so
 

@@ -4,7 +4,9 @@ quantifiers, modal evaluation, and resource accounting."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,8 +35,16 @@ from tlk import (
     eval_term,
     parse,
 )
+from tlk import evaluator as E
 from tlk import syntax as S
-from tlk.structures import Assignment
+from tlk.structures import (
+    Assignment,
+    duplicate,
+    successor_teams,
+    supplement,
+    team_restrict,
+)
+from tlk.evaluator import team_satisfying
 
 XY = ("x", "y")
 
@@ -326,10 +336,19 @@ def test_eval_mtl_rejects_first_order_syntax():
 # The prepared formula is reused across calls with the same formula object
 
 
-def _copy(phi):
-    if S.children(phi):
-        return S.map_children(phi, _copy)
-    return dataclasses.replace(phi)  # a new object, even for the S.TOP/S.BOT singletons
+def _copy(phi, copies=None):
+    """A copy of phi made of new objects, even for the S.TOP/S.BOT
+    singletons, that shares a node exactly where phi shares one: the memo
+    is keyed by node identity, so its hits depend on the sharing."""
+    copies = {} if copies is None else copies
+    copy = copies.get(id(phi))
+    if copy is None:
+        if S.children(phi):
+            copy = S.map_children(phi, lambda c: _copy(c, copies))
+        else:
+            copy = dataclasses.replace(phi)
+        copies[id(phi)] = copy
+    return copy
 
 
 def _fresh(phi):
@@ -343,6 +362,7 @@ def _fresh(phi):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 @example(seed=510509)  # draws top, which parse returns as the shared S.TOP
+@example(seed=134)  # E x. A x. (bot & (~bot)) holds one S.BOT twice
 def test_equal_formula_objects_evaluated_alternately_agree_with_cold_calls(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 2)
@@ -420,3 +440,197 @@ def test_language_check_runs_on_every_call():
     dep = parse("dep(x,y)", "team")
     eval_team(A, T, dep)
     assert "mtl formula" in _error(lambda: eval_mtl(K, {0}, dep))
+
+
+def test_team_values_outside_the_domain_are_rejected():
+    # A value outside the domain has no place in a mask over the n^k value
+    # tuples; with or without localize, and in a column phi never reads.
+    A = _structure(2)
+    for team, text in [
+        (Team.from_tuples(("x",), [(5,), (0,)]), "x = x"),
+        (Team.from_tuples(("x",), [(5,), (0,)]), "E y. dep(x,y)"),
+        (Team.from_tuples(XY, [(0, -1)]), "P(x)"),
+    ]:
+        for localize in (True, False):
+            with pytest.raises(ValueError, match="leaves the domain"):
+                eval_team(A, team, parse(text, "team"), localize=localize)
+
+
+# ---------------------------------------------------------------------------
+# Positional teams: each mask operation equals its Team-level counterpart
+
+
+def _team_of(frame, mask) -> Team:
+    return Team(frame.xs, frozenset(frame.rows(mask)))
+
+
+def _sorted_rows(frame, mask) -> list[Assignment]:
+    return [frame.row(i) for i in frame.ordered(mask)]
+
+
+def _some(iterable, count=60):
+    return list(itertools.islice(iterable, count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+@example(seed=0)
+def test_mask_operations_equal_the_team_operations(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    A = random_structure(rng, n)
+    ev = E._TeamEvaluator(A, E._Prepared(S.TOP, "team"), None, EvalStats(), True, True)
+    variables = tuple(sorted(rng.sample("xyz", rng.randint(0, 3))))
+    if variables:
+        T = random_team(rng, n, variables, 5)
+    else:
+        T = rng.choice([Team.empty(), Team.unit()])
+    frame = ev.frame(variables)
+    mask = frame.pack(T)
+    assert _sorted_rows(frame, mask) == T.sorted_rows()
+    assert _team_of(frame, mask) == T
+    rows = T.sorted_rows()
+
+    keep = frozenset(rng.sample("xyz", rng.randint(0, 3)))
+    target, restricted = ev.restrict(frame, mask, keep)
+    assert target.xs == tuple(sorted(keep & set(variables)))
+    assert _team_of(target, restricted) == team_restrict(T, keep)
+    assert ev.restrict(frame, mask, keep) == (target, restricted)
+
+    # the variable may be bound already, and is then overwritten
+    var = rng.choice("xyz")
+    target, options = ev.supplements(frame, mask, var)
+    subsets = [tuple(a for a in range(n) if c >> a & 1) for c in range(1, 2**n)]
+    functions = itertools.product(subsets, repeat=len(rows))
+    candidates = E._or_products([E._subset_masks(bits) for bits in options])
+    for choice, got in zip(_some(functions), _some(candidates)):
+        assert _team_of(target, got) == supplement(T, var, dict(zip(rows, choice)))
+    duplicated = 0
+    for bits in options:
+        for bit in bits:
+            duplicated |= bit
+    assert _team_of(target, duplicated) == duplicate(T, var, n)
+
+    if variables:
+        alpha = random_fo_formula(rng, rng.randint(1, 4), variables)
+        assert _team_of(frame, E._satisfying(A, frame, mask, alpha)) == team_satisfying(A, T, alpha)
+
+    shapes = itertools.product((0, 1, 2), repeat=len(rows))
+    want = [
+        ([r for r, side in zip(rows, shape) if side != 1],
+         [r for r, side in zip(rows, shape) if side != 0])
+        for shape in _some(shapes)
+    ]
+    covers = E._covers(frame.ordered(mask))
+    assert [(_sorted_rows(frame, s), _sorted_rows(frame, u)) for s, u in _some(covers)] == want
+
+
+def test_masks_grow_with_the_rows_in_use_not_the_universe():
+    # Over domain 20 a six-variable team ranges over 20^6 value tuples, and
+    # each row has 2^20 - 1 nonempty value sets for an existential; a
+    # five-row team must cost what its rows do.
+    A = Structure(20, {"P": frozenset((a,) for a in range(5))}, arities={"P": 1})
+    T = Team.from_tuples(tuple("abcdef"), [(19 - i, 19, 19, 19, 19, 19 - i) for i in range(5)])
+    split = parse("(a = b & (c = d & e = f)) | (~(a = f))", "team")
+    exists = parse("E g. (dep(a, g) & (b = c & d = e) & f = f)", "team")
+    tracemalloc.start()
+    try:
+        for localize in (True, False):
+            assert eval_team(A, T, split, localize=localize) is False
+            assert eval_team(A, T, exists, localize=localize) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_world_mask_operations_equal_the_set_operations(seed):
+    rng = random.Random(seed)
+    K = random_kripke(rng, rng.randint(1, 5))
+    T = frozenset(w for w in range(K.worlds) if rng.random() < 0.5)
+    mask = sum(1 << w for w in T)
+    successors = E._successor_table(K)
+    assert E._image(successors, mask) == sum(1 << w for w in K.image(T))
+    want_budget, got_budget = Budget(), Budget()
+    want = [sum(1 << w for w in s) for s in successor_teams(K, T, want_budget)]
+    assert list(E._successor_teams(successors, mask, got_budget.charge)) == want
+    assert got_budget.used == want_budget.used
+
+
+def test_or_products_follow_the_product_order_and_read_lazily():
+    options = [(1 << i, 2 << i, 3 << i) for i in range(0, 14, 2)]
+    want = [sum(combo) for combo in itertools.product(*options)]
+    assert list(E._or_products(options)) == want
+    assert list(E._or_products([])) == [0]
+    assert list(E._or_products([(1,), (), (2,)])) == []
+    assert list(E._subset_masks([1, 2, 4])) == [1, 2, 3, 4, 5, 6, 7]
+    # the first combination reads one option of each row, no more
+    read = []
+
+    def row(bits):
+        for bit in bits:
+            read.append(bit)
+            yield bit
+
+    assert next(E._or_products([row([1, 2]), row([4, 8]), row([16, 32])])) == 21
+    assert read == [1, 4, 16]
+
+
+# ---------------------------------------------------------------------------
+# Verdicts and counts pinned on a seeded corpus
+
+XYZ = ("x", "y", "z")
+
+
+def _corpus_totals():
+    """Per setting, the number of True, False and budget-exhausted
+    verdicts, then Budget.used, nodes, splits and hooks summed, over
+    seeded eval_team and eval_mtl calls."""
+    rng = random.Random(2026)
+    totals = {}
+
+    def record(key, call):
+        budget, stats = Budget(3000), EvalStats()
+        try:
+            verdict = call(budget, stats)
+        except BudgetExceeded:
+            verdict = None
+        row = totals.setdefault(key, [0] * 7)
+        row[(True, False, None).index(verdict)] += 1
+        for i, count in enumerate((budget.used, stats.nodes, stats.splits, stats.hooks)):
+            row[3 + i] += count
+
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        A = random_structure(rng, n)
+        T = random_team(rng, n, XYZ, 4)  # z is never free: dropped at entry
+        phi = random_team_formula(rng, rng.randint(1, 7), XY)
+        if rng.random() < 0.3:
+            alpha = random_fo_formula(rng, rng.randint(1, 3), XY)
+            phi = S.Or(S.Not(alpha), S.And(alpha, phi))
+        for localize in (True, False):
+            for memo in (True, False):
+                record(("team", localize, memo), lambda b, s: eval_team(
+                    A, T, phi, b, localize=localize, memo=memo, stats=s))
+    for _ in range(150):
+        K = random_kripke(rng, rng.randint(1, 4))
+        T = frozenset(w for w in range(K.worlds) if rng.random() < 0.6)
+        phi = random_mtl_formula(rng, rng.randint(1, 9), 2)
+        for memo in (True, False):
+            record(("mtl", memo), lambda b, s: eval_mtl(K, T, phi, b, memo=memo, stats=s))
+    return {key: tuple(row) for key, row in totals.items()}
+
+
+def test_verdicts_steps_and_counts_on_a_seeded_corpus():
+    # Pinned from the Team-based evaluators that the mask-based ones
+    # replaced: enumeration order, memo hits and budget charges are kept.
+    assert _corpus_totals() == {
+        ("team", True, True): (85, 65, 0, 1543, 595, 848, 26),
+        ("team", True, False): (85, 64, 1, 3822, 2195, 1573, 26),
+        ("team", False, True): (85, 63, 2, 7204, 3215, 3239, 26),
+        ("team", False, False): (85, 63, 2, 8188, 5503, 1935, 26),
+        ("mtl", True): (68, 82, 0, 407, 323, 14, 0),
+        ("mtl", False): (68, 82, 0, 442, 358, 14, 0),
+    }

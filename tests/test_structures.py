@@ -356,6 +356,18 @@ def test_kripke_clause_trailing_text_reports_its_own_line(clause):
         ("domain 2\nfun f 1 {\n (0)->1\n (1)->0\n (0)->0 }", 5),
         ("# a comment\nkripke 2 3 {\n}", 2),
         ("domain 2\n\nteam x x {\n (0,0) }", 3),
+        # a team value outside the domain: the row's own line, whichever
+        # of the team and the domain comes first
+        ("domain 2\nT = team x { (5) (0) }\n", 2),
+        ("T = team x y {\n (0,1)\n (1,-1) }\ndomain 2", 3),
+        # the structure's own checks: the line of the rel/fun declaration
+        ("domain 3\n\nrel P 1 { (5) }", 3),
+        ("domain 2\nrel Q 1 { (0) }\nrel P {\n (1)\n (1,0) }", 3),
+        ("domain 2\nrel P 1 { (0) }\nfun f {\n (0)->1 }", 3),
+        ("domain 2\nfun f {\n (0)->1\n (0,1)->0 }", 2),
+        ("domain 2\n\nfun f 1 { (0)->1 (1)->7 }", 3),
+        ("domain 2\nrel Q 1 { }\nrel P { }", 3),
+        ("# a comment\ndomain 0", 2),
     ],
 )
 def test_errors_in_a_multi_line_block_carry_the_faulty_line(text, line):
