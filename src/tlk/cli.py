@@ -274,86 +274,53 @@ def _cmd_dnf(args) -> int:
     return EXIT_TRUE
 
 
-def _cmd_sat(args) -> int:
+def _cmd_search(args) -> int:
     vocab = _load_vocab(args)
     phi = parse(args.formula, "team", vocab)
     if vocab is None:
         vocab = _inferred_vocabulary(phi)
-    stats = EvalStats()
-    budget = _budget(args)
-    if args.method == "two-var":
-        outcome = sat_fo2(phi, vocab, args.max_domain, budget, stats=stats)
+    if args.command == "valid":
+        search = valid_bounded
     else:
-        outcome = sat_bounded(phi, vocab, args.max_domain, budget, stats=stats)
-    return _report_sat(args, outcome, stats)
-
-
-def _report_sat(args, outcome, stats: EvalStats) -> int:
-    if isinstance(outcome, Satisfiable):
-        witness_text = "\n".join(
-            [render_structure(outcome.structure), render_team(outcome.team)]
-        )
-        payload = {
-            "verdict": "sat",
-            "witness": {
-                "structure": _structure_json(outcome.structure),
-                "team": _team_json(outcome.team),
-            },
-            "stats": _stats_json(stats),
-        }
-        _emit(args, payload, f"sat\n{witness_text}")
-        return EXIT_TRUE
-    if isinstance(outcome, UnsatUpTo):
-        payload = {
-            "verdict": "unsat-up-to",
-            "max_domain": outcome.max_domain,
-            "witness": None,
-            "stats": _stats_json(stats),
-        }
-        _emit(args, payload, f"unsat up to domain {outcome.max_domain}")
-        return EXIT_FALSE
-    return _report_exhausted(args, outcome)
-
-
-def _report_exhausted(args, outcome) -> int:
-    if not isinstance(outcome, ResourceExhausted):
-        raise TypeError(f"unexpected search outcome {outcome!r}")
-    payload = {"verdict": "resource-exhausted", "detail": outcome.detail}
-    _emit(args, payload, f"resource exhausted: {outcome.detail}")
-    return EXIT_RESOURCE
-
-
-def _cmd_valid(args) -> int:
-    vocab = _load_vocab(args)
-    phi = parse(args.formula, "team", vocab)
-    if vocab is None:
-        vocab = _inferred_vocabulary(phi)
+        search = sat_fo2 if args.method == "two-var" else sat_bounded
     stats = EvalStats()
-    outcome = valid_bounded(phi, vocab, args.max_domain, _budget(args), stats=stats)
-    if isinstance(outcome, ValidUpTo):
-        payload = {
-            "verdict": "valid-up-to",
-            "max_domain": outcome.max_domain,
-            "witness": None,
-            "stats": _stats_json(stats),
+    outcome = search(phi, vocab, args.max_domain, _budget(args), stats=stats)
+    return _report_search(args, outcome, stats)
+
+
+# The JSON verdict, text head and exit code of each finished search outcome.
+_SEARCH_VERDICTS = {
+    Satisfiable: ("sat", "sat", EXIT_TRUE),
+    Counterexample: ("counterexample", "counterexample", EXIT_FALSE),
+    UnsatUpTo: ("unsat-up-to", "unsat up to domain", EXIT_FALSE),
+    ValidUpTo: ("valid-up-to", "valid up to domain", EXIT_TRUE),
+}
+
+
+def _report_search(args, outcome, stats: EvalStats) -> int:
+    """Print a sat/valid outcome: a witness pair as a model file, a bound
+    reached, or the budget that ran out."""
+    if isinstance(outcome, ResourceExhausted):
+        payload = {"verdict": "resource-exhausted", "detail": outcome.detail}
+        _emit(args, payload, f"resource exhausted: {outcome.detail}")
+        return EXIT_RESOURCE
+    if type(outcome) not in _SEARCH_VERDICTS:
+        raise TypeError(f"unexpected search outcome {outcome!r}")
+    verdict, head, code = _SEARCH_VERDICTS[type(outcome)]
+    payload = {"verdict": verdict, "witness": None, "stats": _stats_json(stats)}
+    if isinstance(outcome, (Satisfiable, Counterexample)):
+        payload["witness"] = {
+            "structure": _structure_json(outcome.structure),
+            "team": _team_json(outcome.team),
         }
-        _emit(args, payload, f"valid up to domain {outcome.max_domain}")
-        return EXIT_TRUE
-    if isinstance(outcome, Counterexample):
-        witness_text = "\n".join(
-            [render_structure(outcome.structure), render_team(outcome.team)]
+        text = "\n".join(
+            [head, render_structure(outcome.structure), render_team(outcome.team)]
         )
-        payload = {
-            "verdict": "counterexample",
-            "witness": {
-                "structure": _structure_json(outcome.structure),
-                "team": _team_json(outcome.team),
-            },
-            "stats": _stats_json(stats),
-        }
-        _emit(args, payload, f"counterexample\n{witness_text}")
-        return EXIT_FALSE
-    return _report_exhausted(args, outcome)
+    else:
+        payload["max_domain"] = outcome.max_domain
+        text = f"{head} {outcome.max_domain}"
+    _emit(args, payload, text)
+    return code
 
 
 def _cmd_reduce(args) -> int:
@@ -465,14 +432,14 @@ def build_parser() -> _Parser:
     p.add_argument("--max-domain", type=int, default=3)
     p.add_argument("--method", choices=["search", "two-var"], default="search")
     p.add_argument("--budget", type=int)
-    p.set_defaults(fn=_cmd_sat)
+    p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("valid", parents=[common], help="bounded validity search")
     p.add_argument("--formula", required=True)
     p.add_argument("--vocab", help="vocabulary sidecar file")
     p.add_argument("--max-domain", type=int, default=3)
     p.add_argument("--budget", type=int)
-    p.set_defaults(fn=_cmd_valid)
+    p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("reduce", parents=[common], help="hardness reductions")
     p.add_argument("kind", choices=["ptl-sat", "ptl-mc"])

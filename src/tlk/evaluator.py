@@ -170,7 +170,7 @@ class _Prepared:
         S.check_language(phi, language)
         self.phi = phi
         self.language = language
-        self.shape = S._FO_SHAPE if language == "team" else S._ML_SHAPE
+        self.shape = S._LANGUAGES["fo" if language == "team" else "ml"][:2]
         self.flat: dict[int, bool] = {}
         self.fr: dict[int, frozenset[str]] = {}
         self.hook: dict[int, tuple[S.Formula, S.Formula]] = {}

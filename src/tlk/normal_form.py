@@ -180,6 +180,20 @@ def _chain(cls: type, phi: S.Formula) -> list[S.Formula]:
     return out[::-1]
 
 
+def _guarded_chain(phi: S.Formula) -> list[tuple[S.Formula, S.Formula]] | None:
+    """The pairs (a_i, b_i) of a chain (a_1 & NE b_1) | ... | (a_n & NE b_n)
+    with first-order a_i and b_i, or None when phi has another shape."""
+    parts = []
+    for item in _chain(S.Or, phi):
+        if not isinstance(item, S.And):
+            return None
+        beta = S.as_e(item.right)
+        if beta is None or not S.is_fo(item.left) or not S.is_fo(beta):
+            return None
+        parts.append((item.left, beta))
+    return parts
+
+
 def _law1(phi: S.Formula, forward: bool) -> S.Formula | None:
     if forward:
         # a & NE b_1 & ... & NE b_n  ->  (a & NE b_1) | ... | (a & NE b_n)
@@ -193,32 +207,18 @@ def _law1(phi: S.Formula, forward: bool) -> S.Formula | None:
         if any(b is None or not S.is_fo(b) for b in betas):
             return None
         return S.or_all([S.And(alpha, S.mk_e(b)) for b in betas])
-    parts = []
-    for item in _chain(S.Or, phi):
-        if not isinstance(item, S.And):
-            return None
-        beta = S.as_e(item.right)
-        if beta is None or not S.is_fo(item.left) or not S.is_fo(beta):
-            return None
-        parts.append((item.left, beta))
-    alpha = parts[0][0]
-    if any(a != alpha for a, _ in parts):
+    parts = _guarded_chain(phi)
+    if parts is None or any(a != parts[0][0] for a, _ in parts):
         return None
-    return S.and_all([alpha] + [S.mk_e(b) for _, b in parts])
+    return S.and_all([parts[0][0]] + [S.mk_e(b) for _, b in parts])
 
 
 def _law2(phi: S.Formula, forward: bool) -> S.Formula | None:
     if forward:
         # (a_1 & NE b_1) | ... -> (a_1 | ...) & NE (a_1 & b_1) & ...
-        chain = _chain(S.Or, phi)
-        parts = []
-        for item in chain:
-            if not isinstance(item, S.And):
-                return None
-            beta = S.as_e(item.right)
-            if beta is None or not S.is_fo(item.left) or not S.is_fo(beta):
-                return None
-            parts.append((item.left, beta))
+        parts = _guarded_chain(phi)
+        if parts is None:
+            return None
         return S.and_all(
             [S.or_all([a for a, _ in parts])]
             + [S.mk_e(S.And(a, b)) for a, b in parts]

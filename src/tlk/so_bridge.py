@@ -418,12 +418,14 @@ class _SOEvaluator:
         n = self.structure.domain_size
         if isinstance(phi, (S.Exists, S.Forall)):
             return range(n)
+        size = n**phi.arity
         if isinstance(phi, (S.ExistsRel, S.ForallRel)):
-            return _relation_pool(n, phi.arity)
+            return _pool(2**size, _all_relations, n, phi.arity)
         if isinstance(phi, (S.ExistsFun, S.ForallFun)):
-            return _function_pool(n, phi.arity)
-        cap = phi.bound.value(n)
-        return _sparse_pool(n, phi.arity, cap)
+            return _pool(n**size, _all_functions, n, phi.arity)
+        cap = min(phi.bound.value(n), size)
+        count = sum(math.comb(size, c) for c in range(cap + 1))
+        return _pool(count, _sparse_relations, n, phi.arity, cap)
 
 
 _DISPATCH = {
@@ -481,33 +483,16 @@ _POOL_LIMIT = 65536
 _pools: dict[tuple, tuple] = {}
 
 
-def _relation_pool(n: int, arity: int):
-    if 2 ** (n**arity) > _POOL_LIMIT:
-        return _all_relations(n, arity)
-    key = ("rel", n, arity)
-    if key not in _pools:
-        _pools[key] = tuple(_all_relations(n, arity))
-    return _pools[key]
-
-
-def _sparse_pool(n: int, arity: int, cap: int):
-    size = n**arity
-    cap = min(cap, size)
-    if sum(math.comb(size, c) for c in range(cap + 1)) > _POOL_LIMIT:
-        return _sparse_relations(n, arity, cap)
-    key = ("sparse", n, arity, cap)
-    if key not in _pools:
-        _pools[key] = tuple(_sparse_relations(n, arity, cap))
-    return _pools[key]
-
-
-def _function_pool(n: int, arity: int):
-    if n ** (n**arity) > _POOL_LIMIT:
-        return _all_functions(n, arity)
-    key = ("fun", n, arity)
-    if key not in _pools:
-        _pools[key] = tuple(_all_functions(n, arity))
-    return _pools[key]
+def _pool(count: int, make, *args):
+    """The candidates make(*args) yields, count of them: one shared tuple
+    when count is at most _POOL_LIMIT, else a fresh generator."""
+    if count > _POOL_LIMIT:
+        return make(*args)
+    key = (make, *args)
+    pool = _pools.get(key)
+    if pool is None:
+        pool = _pools[key] = tuple(make(*args))
+    return pool
 
 
 def eval_so(

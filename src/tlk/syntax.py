@@ -423,10 +423,14 @@ def _check_delta(delta: Formula, arity: int) -> str | None:
 
 
 def walk(phi: Formula):
-    """Yield every node of the formula tree, root first."""
-    yield phi
-    for c in children(phi):
-        yield from walk(c)
+    """Yield every node of the formula tree, root first, then each
+    child's subtree from left to right (an explicit stack, so deep
+    formulas cost no recursion)."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(children(node)[::-1])
 
 
 class UnknownDependencyError(KeyError):
@@ -760,60 +764,64 @@ def pred_names(phi: Formula) -> frozenset[str]:
 # Language membership
 
 
-# The classical languages as (leaves, connectives): a formula belongs to
-# one when it is a leaf or a connective over formulas that belong to it.
-# The evaluators decide flatness bottom-up from the same tables.
-_FO_SHAPE = ((Pred, Eq, Top, Bot), (Not, And, Or, Exists, Forall))
-_ML_SHAPE = ((Prop, Top, Bot), (Not, And, Or, Diamond, Box))
+# Each language as (leaves, connectives, flat): a formula belongs to it
+# when every node is a leaf or a connective, except that below a
+# classical negation ! the body must belong to the flat sublanguage
+# (None: ! is an ordinary connective).  The evaluators decide flatness
+# bottom-up from the "fo" and "ml" rows.
+_LANGUAGES = {
+    "fo": ((Pred, Eq, Top, Bot), (Not, And, Or, Exists, Forall), None),
+    "ml": ((Prop, Top, Bot), (Not, And, Or, Diamond, Box), None),
+    "team": ((Pred, Eq, Top, Bot, DepAtom), (BoolNot, And, Or, Exists, Forall), "fo"),
+    "mtl": ((Prop, Top, Bot), (BoolNot, And, Or, Diamond, Box), "ml"),
+    "so": ((Pred, Eq, Top, Bot, RelApp), (Not,) + _BINARY + _FO_QUANT + _SO_QUANT, None),
+}
 
 
-def _has_shape(phi: Formula, shape) -> bool:
-    leaves, connectives = shape
-    if isinstance(phi, leaves):
-        return True
-    return isinstance(phi, connectives) and all(_has_shape(c, shape) for c in children(phi))
+def _in_language(phi: Formula, language: str) -> bool:
+    """Membership by an explicit stack of (node, language row) pairs,
+    stopping at the first node outside its language."""
+    stack = [(phi, _LANGUAGES[language])]
+    while stack:
+        node, row = stack.pop()
+        leaves, connectives, flat = row
+        if isinstance(node, leaves):
+            continue
+        if flat is not None and isinstance(node, Not):
+            stack.append((node.body, _LANGUAGES[flat]))
+        elif isinstance(node, connectives):
+            stack.extend((c, row) for c in children(node))
+        else:
+            return False
+    return True
 
 
 def is_fo(phi: Formula) -> bool:
     """Classical first-order formulas: no ~, no dependency atoms, no modal
     or second-order material."""
-    return _has_shape(phi, _FO_SHAPE)
+    return _in_language(phi, "fo")
 
 
 def is_ml(phi: Formula) -> bool:
     """Classical modal logic: propositions, top/bot, ! & | <> []."""
-    return _has_shape(phi, _ML_SHAPE)
+    return _in_language(phi, "ml")
 
 
 def is_team(phi: Formula) -> bool:
-    """First-order team logic: FO leaves, dependency atoms, ~ & | E A."""
-    if is_fo(phi):
-        return True
-    if isinstance(phi, DepAtom):
-        return True
-    if isinstance(phi, (BoolNot, And, Or)) or isinstance(phi, _FO_QUANT):
-        return all(is_team(c) for c in children(phi))
-    return False
+    """First-order team logic: FO leaves, dependency atoms, ~ & | E A,
+    and ! over first-order formulas."""
+    return _in_language(phi, "team")
 
 
 def is_mtl(phi: Formula) -> bool:
-    """Modal team logic: ML leaves plus ~ & | <> []."""
-    if is_ml(phi):
-        return True
-    if isinstance(phi, (BoolNot, And, Or, Diamond, Box)):
-        return all(is_mtl(c) for c in children(phi))
-    return False
+    """Modal team logic: ML leaves plus ~ & | <> [], and ! over
+    classical modal formulas."""
+    return _in_language(phi, "mtl")
 
 
 def is_so(phi: Formula) -> bool:
     """Second-order logic, sugar connectives and sparse quantifiers included."""
-    if isinstance(phi, (Pred, Eq, Top, Bot, RelApp)):
-        return True
-    if isinstance(phi, (Not, And, Or, Implies, Iff)) or isinstance(
-        phi, _FO_QUANT
-    ) or isinstance(phi, _SO_QUANT):
-        return all(is_so(c) for c in children(phi))
-    return False
+    return _in_language(phi, "so")
 
 
 _LANGUAGE_CHECKS = {"fo": is_fo, "team": is_team, "mtl": is_mtl, "so": is_so}

@@ -240,18 +240,24 @@ def sample_oracle_instance(
     so_threshold: float = 120_000.0,
     team_threshold: float = 500_000.0,
     allow_z: bool = True,
+    law_rate: float = 0.0,
 ) -> OracleInstance:
     """One randomized instance for the translation-equivalence harnesses:
     domain <= 3, team rows <= 4, formula size <= max_size over {x, y}
     (with a third quantified variable allowed on small domains), resampled
-    until the cost estimates predict a quick check on both sides."""
+    until the cost estimates predict a quick check on both sides.  With
+    probability ``law_rate`` the formula is a random instance of one of
+    the nine rewrite laws instead."""
     while True:
         n = rng.choice((1, 2, 2, 2, 3, 3))
         if allow_z and n <= 2 and rng.random() < 0.25:
             qvars = ("x", "y", "z")
         else:
             qvars = ("x", "y")
-        phi = random_team_formula(rng, rng.randint(1, max_size), qvars)
+        if law_rate and rng.random() < law_rate:
+            phi = random_law_instance(rng, rng.randint(1, 9))
+        else:
+            phi = random_team_formula(rng, rng.randint(1, max_size), qvars)
         if S.free_vars(phi) - {"x", "y"}:
             continue  # z must end up bound so the team stays two-variable
         if so_cost_estimate(phi, n, 2) > so_threshold:

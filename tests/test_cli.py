@@ -343,8 +343,16 @@ def test_dnf_size_budget_exit(capsys):
 # sat / valid
 
 
-def test_sat_witness_reparses_and_satisfies(capsys):
-    formula = "(NE P(x)) & (NE (!P(x)))"
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "(NE P(x)) & (NE (!P(x)))",
+        "dep(x,y) & (~dep(y))",
+        "E y. ((NE R(x,y)) & (NE (!R(x,y))))",
+        "(P(x) \\/ (~P(x)))",
+    ],
+)
+def test_sat_witness_reparses_and_satisfies(capsys, formula):
     code, out, _ = run(
         capsys, ["sat", "--formula", formula, "--max-domain", "2"]
     )
@@ -377,7 +385,16 @@ def test_sat_unsat_exit_code(capsys):
     assert out == "unsat up to domain 2\n"
 
 
-def test_sat_two_var_method(capsys):
+@pytest.mark.parametrize(
+    "formula, exit_code, first_line",
+    [
+        ("(NE P(x)) & (NE (!P(x)))", EXIT_TRUE, "sat"),
+        ("~(x = x)", EXIT_FALSE, "unsat up to domain 2"),
+        ("E y. ((NE R(x,y)) & (NE (!R(x,y))))", EXIT_TRUE, "sat"),
+        ("(P(x) \\/ (~P(x)))", EXIT_TRUE, "sat"),
+    ],
+)
+def test_sat_two_var_method(capsys, formula, exit_code, first_line):
     code, out, _ = run(
         capsys,
         [
@@ -385,13 +402,13 @@ def test_sat_two_var_method(capsys):
             "--method",
             "two-var",
             "--formula",
-            "(NE P(x)) & (NE (!P(x)))",
+            formula,
             "--max-domain",
             "2",
         ],
     )
-    assert code == EXIT_TRUE
-    assert out.startswith("sat\n")
+    assert code == exit_code
+    assert out.splitlines()[0] == first_line
 
 
 def test_sat_budget_exhaustion_exit(capsys):
@@ -410,16 +427,100 @@ def test_sat_budget_exhaustion_exit(capsys):
     assert json.loads(out)["verdict"] == "resource-exhausted"
 
 
-def test_valid_verdicts(capsys):
+_STATS_ZERO_SPLITS = {"alternations": 0, "hooks": 0, "splits": 0}
+_EXHAUSTED = "evaluation budget of 5 steps exhausted"
+
+# One case per search outcome: argv, exit code, exact text output, and
+# the --json payload (printed as json.dumps(..., indent=2, sort_keys=True)).
+SEARCH_OUTCOMES = {
+    "satisfiable": (
+        ["sat", "--formula", "(NE P(x)) & (NE (!P(x)))", "--max-domain", "2"],
+        EXIT_TRUE,
+        "sat\ndomain 2\nrel P 1 { (0) }\nT = team x { (0) (1) }\n",
+        {
+            "verdict": "sat",
+            "stats": {**_STATS_ZERO_SPLITS, "nodes": 42},
+            "witness": {
+                "structure": {"domain": 2, "functions": {}, "relations": {"P": [[0]]}},
+                "team": {"rows": [[0], [1]], "variables": ["x"]},
+            },
+        },
+    ),
+    "unsat-up-to": (
+        ["sat", "--formula", "~(x = x)", "--max-domain", "2"],
+        EXIT_FALSE,
+        "unsat up to domain 2\n",
+        {
+            "verdict": "unsat-up-to",
+            "max_domain": 2,
+            "stats": {**_STATS_ZERO_SPLITS, "nodes": 12},
+            "witness": None,
+        },
+    ),
+    "valid-up-to": (
+        ["valid", "--formula", "x = x", "--max-domain", "2"],
+        EXIT_TRUE,
+        "valid up to domain 2\n",
+        {
+            "verdict": "valid-up-to",
+            "max_domain": 2,
+            "stats": {**_STATS_ZERO_SPLITS, "nodes": 12},
+            "witness": None,
+        },
+    ),
+    "counterexample": (
+        ["valid", "--formula", "P(x)", "--max-domain", "2"],
+        EXIT_FALSE,
+        "counterexample\ndomain 1\nrel P 1 { }\nT = team x { (0) }\n",
+        {
+            "verdict": "counterexample",
+            "stats": {**_STATS_ZERO_SPLITS, "nodes": 4},
+            "witness": {
+                "structure": {"domain": 1, "functions": {}, "relations": {"P": []}},
+                "team": {"rows": [[0]], "variables": ["x"]},
+            },
+        },
+    ),
+    "sat-resource-exhausted": (
+        ["sat", "--formula", "(NE P(x)) & (NE (!P(x)))", "--budget", "5"],
+        EXIT_RESOURCE,
+        f"resource exhausted: {_EXHAUSTED}\n",
+        {"verdict": "resource-exhausted", "detail": _EXHAUSTED},
+    ),
+    "valid-resource-exhausted": (
+        ["valid", "--formula", "x = x", "--budget", "5"],
+        EXIT_RESOURCE,
+        f"resource exhausted: {_EXHAUSTED}\n",
+        {"verdict": "resource-exhausted", "detail": _EXHAUSTED},
+    ),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(SEARCH_OUTCOMES))
+def test_search_outcomes_print_exact_text_and_json(capsys, outcome):
+    argv, exit_code, text, payload = SEARCH_OUTCOMES[outcome]
+    assert run(capsys, argv) == (exit_code, text, "")
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert run(capsys, argv + ["--json"]) == (exit_code, expected, "")
+
+
+@pytest.mark.parametrize(
+    "formula, exit_code, first_line",
+    [
+        ("x = x", EXIT_TRUE, "valid up to domain 2"),
+        ("P(x)", EXIT_FALSE, "counterexample"),
+        ("P(x) | (~P(x))", EXIT_FALSE, "counterexample"),
+        ("dep(x) \\/ (~dep(x))", EXIT_TRUE, "valid up to domain 2"),
+    ],
+)
+def test_valid_verdicts(capsys, formula, exit_code, first_line):
     code, out, _ = run(
-        capsys, ["valid", "--formula", "x = x", "--max-domain", "2"]
+        capsys, ["valid", "--formula", formula, "--max-domain", "2"]
     )
-    assert (code, out) == (EXIT_TRUE, "valid up to domain 2\n")
-    code, out, _ = run(
-        capsys, ["valid", "--formula", "P(x)", "--max-domain", "2"]
-    )
-    assert code == EXIT_FALSE
-    assert out.startswith("counterexample\n")
+    assert code == exit_code
+    # a counterexample is followed by its model file; a bound stands alone
+    assert out.splitlines()[0] == first_line
+    assert (out == first_line + "\n") is (exit_code == EXIT_TRUE)
 
 
 # ---------------------------------------------------------------------------

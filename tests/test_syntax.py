@@ -243,6 +243,42 @@ def test_language_predicates():
     assert not S.is_ml(parse("~p", "mtl"))
 
 
+def test_language_check_and_walk_run_on_a_5000_term_chain():
+    # Both work on an explicit stack: the chain is far deeper than the
+    # recursion limit, and each NE P(x) is visited once, not once per
+    # enclosing node.
+    ne = S.mk_e(S.Pred("P", (S.Var("x"),)))
+    phi = ne
+    for _ in range(4999):
+        phi = S.And(phi, ne)
+    S.check_language(phi, "team")
+    assert not S.is_fo(phi)
+    nodes = list(S.walk(phi))
+    assert len(nodes) == 4999 + 3 * 5000
+    assert nodes[0] is phi
+    assert [type(n) for n in nodes[-4:]] == [S.Pred, S.BoolNot, S.Not, S.Pred]
+    # the deepest leaf decides: one modal atom makes the chain ill-formed
+    bad = S.Prop("p")
+    for _ in range(4999):
+        bad = S.And(bad, ne)
+    assert not S.is_team(bad)
+
+
+def test_walk_is_root_first_then_children_left_to_right():
+    phi = parse("(E x. (P(x) | (~R(x,y)))) & NE P(y)", "team")
+    assert [S.format_formula(n) for n in S.walk(phi)] == [
+        "(E x. (P(x) | (~R(x,y)))) & NE P(y)",
+        "E x. (P(x) | (~R(x,y)))",
+        "P(x) | (~R(x,y))",
+        "P(x)",
+        "~R(x,y)",
+        "R(x,y)",
+        "NE P(y)",
+        "!P(y)",
+        "P(y)",
+    ]
+
+
 def test_e_and_ovee_sugar_invert():
     # [TRIVIAL] NE and \/ are definable shapes, recognised back exactly
     beta = parse("P(x)", "team")

@@ -37,6 +37,30 @@ def test_readme_model_file_examples_parse():
         assert model.structure is not None or model.teams or model.kripkes
 
 
+def _readme_code_lines():
+    inside = False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            inside = not inside
+        elif inside:
+            yield line
+
+
+def test_readme_commands_name_files_that_exist():
+    # A python3/pytest command in the README that names a moved or deleted
+    # file fails for every reader who copies it.
+    named = [
+        word.split("::")[0]
+        for line in _readme_code_lines()
+        for words in [line.split("#")[0].split()]
+        if words and words[0] in ("python", "python3", "pytest")
+        for word in words[1:]
+        if not word.startswith("-") and ("/" in word or word.endswith(".py"))
+    ]
+    assert named
+    assert [path for path in named if not (ROOT / path).exists()] == []
+
+
 # perfbench/bench.py still wraps these Team-level operations, but the
 # evaluators no longer call them, so their wrappers measure nothing; they
 # stay importable from tlk.evaluator until the benchmark drops them.
