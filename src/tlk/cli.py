@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -151,10 +152,16 @@ def _stats_json(stats: EvalStats) -> dict:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``tlk ... | head``).  The
+        # verdict stands: send what is left, and the flush at exit, to
+        # devnull so the command still ends with its own exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _read(path: str) -> str:
@@ -471,7 +478,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"tlk: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except RecursionError:
+    except (RecursionError, S.NestingTooDeep):
         # the parser, printer and evaluators recurse once per nesting level
         print("tlk: formula nested too deeply", file=sys.stderr)
         return EXIT_RESOURCE

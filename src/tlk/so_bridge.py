@@ -27,6 +27,32 @@ skipped without enumeration, so vacuous quantifiers cost nothing and do
 not move the existential/universal alternation meter.  Memo keys hold
 the values of a node's free names, None for a name the working
 assignment leaves unbound, such as a function of the structure.
+
+Guarded relation quantifiers.  The same pass finds, for each relation
+quantifier ``E2 S`` / ``Ep S``, the guards its body states about S.  It
+collects the body's conjuncts through ``&``, through nested E2/Ep
+binders of other names, and through a leading chain ``A vs``, which
+distributes over ``&``.  A conjunct ``A vs. (X | psi)`` is a guard when
+X holds the literal ``!S(us)`` or ``S(us)`` through ``&`` and inner
+``A ws`` (us: distinct variables of the chain or of ws), psi mentions
+neither S nor a name bound on the way down, and psi reads no chain
+variable outside us.  ``!S(us)`` bounds S from above by
+G = {t : psi(t)}; ``S(us)`` bounds it from below by L = {t : not psi(t)}.
+Under ``A2`` / ``Ap`` the rule is the dual one (``E``/``A`` and
+``&``/``|`` swapped).  When the quantifier is evaluated, psi is
+evaluated for each value of the chain variables in us (one budget step
+each), and only the relations
+L u Y for Y a subset of G minus L are tried (none when L is not within
+G), capped by the sparse bound.  This is sound for any sentence: under
+E2 a skipped relation falsifies the body, under A2 it satisfies it.  It
+covers the three shapes ``translate_eta`` emits: a split's cover gives
+S, U <= R (and U >= R minus S), a dependency atom's definition gives
+L = G, one candidate, and ``same_rest`` bounds the new relation by R's
+rows times the domain.  Guards are used only when no evaluation step
+can raise (every free name assigned at its sort and arity, no binder
+clashing with a name of another sort), so a skipped relation never
+hides an error; ``eval_so(..., guards=False)`` enumerates every
+relation, as before.
 """
 
 from __future__ import annotations
@@ -176,15 +202,25 @@ def parse_so_assignment(text: str) -> SOAssignment:
 
 
 def to_nnf(phi: S.Formula) -> S.Formula:
-    """Desugar ->/<-> and push negations down to atoms."""
-    return _nnf(phi, True)
+    """Desugar ->/<-> and push negations down to atoms.
+
+    Raises ``syntax.NestingTooDeep`` (a ``ValueError``) when phi is
+    nested deeper than ``syntax.MAX_DEPTH``.
+    """
+    return _nnf(phi, True, 0)
 
 
-def _nnf(phi: S.Formula, positive: bool) -> S.Formula:
+def _nnf(phi: S.Formula, positive: bool, depth: int) -> S.Formula:
+    # depth counts the calls above this one, two for each <-> (whose NNF
+    # is two levels deep), so both this recursion and the NNF, which
+    # eval_so walks recursively, are at most about MAX_DEPTH deep
+    if depth >= S.MAX_DEPTH:
+        raise S.NestingTooDeep()
+    depth += 1
     dual = S.DUALS.get(type(phi))
     if dual is not None:  # under a negation a connective or quantifier turns into its dual
         return S.map_children(
-            phi, lambda c: _nnf(c, positive), type(phi) if positive else dual
+            phi, lambda c: _nnf(c, positive, depth), type(phi) if positive else dual
         )
     if isinstance(phi, (S.Pred, S.Eq, S.RelApp)):
         return phi if positive else S.Not(phi)
@@ -193,20 +229,22 @@ def _nnf(phi: S.Formula, positive: bool) -> S.Formula:
     if isinstance(phi, S.Bot):
         return S.BOT if positive else S.TOP
     if isinstance(phi, S.Not):
-        return _nnf(phi.body, not positive)
+        return _nnf(phi.body, not positive, depth)
     if isinstance(phi, S.Implies):
         if positive:
-            return S.Or(_nnf(phi.left, False), _nnf(phi.right, True))
-        return S.And(_nnf(phi.left, True), _nnf(phi.right, False))
+            return S.Or(_nnf(phi.left, False, depth), _nnf(phi.right, True, depth))
+        return S.And(_nnf(phi.left, True, depth), _nnf(phi.right, False, depth))
     if isinstance(phi, S.Iff):
+        depth += 1
+        a, b = phi.left, phi.right
         if positive:
             return S.And(
-                S.Or(_nnf(phi.left, False), _nnf(phi.right, True)),
-                S.Or(_nnf(phi.right, False), _nnf(phi.left, True)),
+                S.Or(_nnf(a, False, depth), _nnf(b, True, depth)),
+                S.Or(_nnf(b, False, depth), _nnf(a, True, depth)),
             )
         return S.Or(
-            S.And(_nnf(phi.left, True), _nnf(phi.right, False)),
-            S.And(_nnf(phi.right, True), _nnf(phi.left, False)),
+            S.And(_nnf(a, True, depth), _nnf(b, False, depth)),
+            S.And(_nnf(b, True, depth), _nnf(a, False, depth)),
         )
     raise ValueError(f"not a second-order formula: {S.format_formula(phi)}")
 
@@ -226,6 +264,79 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 def _without(names: frozenset, name: str) -> frozenset:
     return names - {name} if name in names else names
+
+
+def _clashes(binder, other_a: frozenset, other_b: frozenset, uses: frozenset) -> bool:
+    """Whether evaluation under ``binder`` can raise: its name is free in
+    its body as a name of another sort (one working assignment holds
+    all sorts), or is applied there at another arity."""
+    name = binder.name
+    return (
+        name in other_a
+        or name in other_b
+        or any(u[0] == name and u[1] != binder.arity for u in uses)
+    )
+
+
+_EXISTS_REL = (S.ExistsRel, S.ExistsRelSparse)
+# Per binder polarity (existential?): the connective guards are collected
+# through (which is also the one a literal sits under), the connective
+# that splits a guard into its parts, the element quantifier of the chain,
+# and the relation binders passed through.
+_GUARD_SHAPES = {
+    True: (S.And, S.Or, S.Forall, _EXISTS_REL),
+    False: (S.Or, S.And, S.Exists, (S.ForallRel, S.ForallRelSparse)),
+}
+
+
+def _flatten(node: S.Formula, cls) -> list[S.Formula]:
+    """The maximal non-``cls`` subformulas of a ``cls`` tree, left to right."""
+    out, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, cls):
+            stack += (item.right, item.left)
+        else:
+            out.append(item)
+    return out
+
+
+def _literals(part: S.Formula, name: str, spine, chain_q):
+    """(negative, args, inner) for each literal name(args) or !name(args)
+    that ``part`` holds through ``spine`` connectives and ``chain_q``
+    quantifiers; ``inner`` are the variables those quantifiers bind."""
+    stack = [(part, _NONE)]
+    while stack:
+        node, inner = stack.pop()
+        if isinstance(node, spine):
+            stack += ((node.right, inner), (node.left, inner))
+        elif isinstance(node, chain_q):
+            stack.append((node.body, inner | {node.var}))
+        else:
+            negative = isinstance(node, S.Not)
+            atom = node.body if negative else node
+            if isinstance(atom, S.RelApp) and atom.name == name:
+                yield negative, atom.args, inner
+
+
+def _guard(names, upper, psis, args, inner, chain, excluded):
+    """The guard a literal over ``args`` gives, or None when it gives none
+    (see ``_SOEvaluator._find_guards``)."""
+    if not all(isinstance(a, S.Var) for a in args):
+        return None
+    vs = [a.name for a in args]
+    outer = tuple(v for v in vs if v not in inner)
+    if len(set(vs)) != len(vs) or not set(chain).issuperset(outer):
+        return None
+    for p in psis:
+        ns = names[id(p)]
+        if not ns.isdisjoint(excluded) or not ns.intersection(chain) <= set(outer):
+            return None
+    inner_vs = [v for v in vs if v in inner]
+    perm = tuple(
+        len(outer) + inner_vs.index(v) if v in inner else outer.index(v) for v in vs
+    )
+    return (upper, psis, outer, perm, len(inner_vs))
 
 
 def _eval_so_term(structure: Structure, J: dict, t: S.Term) -> int:
@@ -256,7 +367,7 @@ class _SOEvaluator:
     dict across the recursion is safe.
     """
 
-    def __init__(self, structure, budget, stats, memo):
+    def __init__(self, structure, budget, stats, memo, guards=False):
         self.structure = structure
         self.budget = budget
         self.stats = stats
@@ -267,14 +378,21 @@ class _SOEvaluator:
         self.preds: set[tuple[str, int]] = set()
         self.funcs: frozenset[str] = _NONE
         self.fun_uses: list[tuple[str, int]] = []
+        self.guards_enabled = guards
+        self.guards: dict[int, tuple] = {}  # relation binder id -> its guards
+        self.clash = False  # some binder's name is used at another sort or arity
+        self.free: tuple = ()  # the root's per-sort free names
 
     def prepare(self, phi: S.Formula, assigned) -> None:
         """Fill ``names`` and ``keynames`` in one bottom-up pass.
 
         The pass keeps each node's free element, relation and function
         names apart, so a binder removes its name from its own sort
-        only; ``names`` holds their union.  A fourth set holds the
-        (name, arity) of each free function application.  ``preds``
+        only; ``names`` holds their union.  Two more sets hold the
+        (name, arity) of each free function and relation application.
+        ``clash`` records a binder whose name its body uses at another
+        sort or arity, and with ``guards`` on, each relation binder's
+        guards go to ``guards`` (``_find_guards``).  ``preds``
         gets the predicates (with arity), ``funcs`` the free function
         names that ``assigned`` does not bind and ``fun_uses`` their
         applications: these functions are the structure's, which must
@@ -282,7 +400,8 @@ class _SOEvaluator:
         """
         sorts: dict[int, tuple] = {}  # per-sort free names, dropped after the pass
         self._visit(phi, sorts)
-        fun, uses = sorts[id(phi)][2:]
+        self.free = sorts[id(phi)]
+        fun, uses = self.free[2:4]
         self.funcs = fun.difference(assigned) if fun else _NONE
         self.fun_uses = [u for u in uses if u[0] in self.funcs]
         # nodes with equal names share one key tuple
@@ -303,24 +422,89 @@ class _SOEvaluator:
         if not kids:  # an atom, top or bot: read its own terms
             elem = S.free_vars(node) or _NONE
             rel = frozenset((node.name,)) if isinstance(node, S.RelApp) else _NONE
+            reluses = frozenset(((node.name, len(node.args)),)) if rel else _NONE
             uses = S.function_uses(node) or _NONE
             fun = frozenset(name for name, _ in uses) if uses else _NONE
             if isinstance(node, S.Pred):
                 self.preds.add((node.name, len(node.args)))
         elif len(kids) == 1:
-            elem, rel, fun, uses = sorts[id(kids[0])]
+            elem, rel, fun, uses, reluses = sorts[id(kids[0])]
             if isinstance(node, (S.Exists, S.Forall)):
+                self.clash = self.clash or node.var in rel or node.var in fun
                 elem = _without(elem, node.var)
-            elif isinstance(node, (S.ExistsFun, S.ForallFun)) and node.name in fun:
-                fun = fun - {node.name}
-                uses = frozenset(u for u in uses if u[0] != node.name)
+            elif isinstance(node, (S.ExistsFun, S.ForallFun)):
+                self.clash = self.clash or _clashes(node, elem, rel, uses)
+                if node.name in fun:
+                    fun = fun - {node.name}
+                    uses = frozenset(u for u in uses if u[0] != node.name)
             elif isinstance(node, _REL_BINDERS):
-                rel = _without(rel, node.name)
+                self.clash = self.clash or _clashes(node, elem, fun, reluses)
+                if node.name in rel:
+                    rel = rel - {node.name}
+                    reluses = frozenset(u for u in reluses if u[0] != node.name)
+                    if self.guards_enabled:
+                        found = self._find_guards(node)
+                        if found:
+                            self.guards[id(node)] = found
         else:
             left, right = sorts[id(kids[0])], sorts[id(kids[1])]
-            elem, rel, fun, uses = (_union(a, b) for a, b in zip(left, right))
-        sorts[id(node)] = (elem, rel, fun, uses)
+            elem, rel, fun, uses, reluses = (_union(a, b) for a, b in zip(left, right))
+        sorts[id(node)] = (elem, rel, fun, uses, reluses)
         self.names[id(node)] = _union(_union(elem, rel), fun)
+
+    def _find_guards(self, binder) -> tuple:
+        """The guards ``binder``'s body states about its relation, found
+        by the rule in the module docstring.  Each is (upper, psis,
+        chain, perm, inner): whether it bounds the relation from above,
+        the disjuncts (conjuncts under A2/Ap) that make up psi, the chain
+        variables among the literal's arguments, the place of each tuple
+        component in (chain values + inner values), and the number of
+        arguments bound inside X.
+        """
+        name, existential = binder.name, isinstance(binder, _EXISTS_REL)
+        spine, parts_of, chain_q, passable = _GUARD_SHAPES[existential]
+        names = self.names
+        guards = []
+        stack = [(binder.body, (), _NONE)]
+        while stack:
+            node, chain, between = stack.pop()
+            if name not in names[id(node)]:
+                continue
+            if isinstance(node, spine):
+                stack += ((node.right, chain, between), (node.left, chain, between))
+            elif isinstance(node, chain_q):
+                stack.append((node.body, chain + (node.var,), between))
+            elif isinstance(node, passable) and not chain:
+                if node.name != name:  # a binder of the same name shadows the relation
+                    stack.append((node.body, chain, between | {node.name}))
+            else:
+                parts = _flatten(node, parts_of)
+                for i, part in enumerate(parts):
+                    psis = parts[:i] + parts[i + 1 :]
+                    excluded = between | {name}
+                    for negative, args, inner in _literals(part, name, spine, chain_q):
+                        upper = negative is existential
+                        guard = _guard(names, upper, psis, args, inner, chain, excluded)
+                        if guard is not None:
+                            guards.append(guard)
+        return tuple(guards)
+
+    def cannot_raise(self, J: dict) -> bool:
+        """Whether no evaluation step can raise under J: no binder clashes,
+        every free element name holds an element, every free relation
+        name a relation of the arity it is used at, and every free
+        function is the structure's.  Guards skip candidates only then,
+        so that they never hide an error ``guards=False`` would meet."""
+        elem, rel, fun, _, reluses = self.free
+        n = self.structure.domain_size
+        return (
+            not self.clash
+            and not (elem & rel or elem & fun or rel & fun or fun.intersection(J))
+            and all(type(J.get(v)) is int and 0 <= J[v] < n for v in elem)
+            and all(
+                isinstance(J.get(r), RelValue) and J[r].arity == a for r, a in reluses
+            )
+        )
 
     def eval(self, J: dict, phi: S.Formula, mode: str | None, switches: int) -> bool:
         if self.memo_enabled:
@@ -377,9 +561,10 @@ class _SOEvaluator:
             self.stats.alternations = switches
         body = phi.body
         budget = self.budget
+        candidates = self._candidates(J, phi, new_mode, switches)
         old = J.get(var, _MISSING)
         try:
-            for c in self._candidates(phi):
+            for c in candidates:
                 if budget is not None:
                     budget.charge()
                 J[var] = c
@@ -414,18 +599,64 @@ class _SOEvaluator:
             return values in rel.tuples
         raise ValueError(f"not an atom: {S.format_formula(phi)}")
 
-    def _candidates(self, phi):
+    def _candidates(self, J, phi, mode, switches):
         n = self.structure.domain_size
         if isinstance(phi, (S.Exists, S.Forall)):
             return range(n)
         size = n**phi.arity
-        if isinstance(phi, (S.ExistsRel, S.ForallRel)):
-            return _pool(2**size, _all_relations, n, phi.arity)
         if isinstance(phi, (S.ExistsFun, S.ForallFun)):
             return _pool(n**size, _all_functions, n, phi.arity)
-        cap = min(phi.bound.value(n), size)
+        sparse = isinstance(phi, (S.ExistsRelSparse, S.ForallRelSparse))
+        cap = min(phi.bound.value(n), size) if sparse else size
+        guards = self.guards.get(id(phi))
+        if guards:
+            lower, upper = self._bounds(J, phi, guards, mode, switches)
+            if lower or upper is not None:
+                return _bounded_relations(n, phi.arity, lower, upper, cap)
+        if not sparse:
+            return _pool(2**size, _all_relations, n, phi.arity)
         count = sum(math.comb(size, c) for c in range(cap + 1))
         return _pool(count, _sparse_relations, n, phi.arity, cap)
+
+    def _bounds(self, J, phi, guards, mode, switches):
+        """The tuples the relation bound by phi must hold (lower) and may
+        hold (upper, None for all) by its guards under J.
+
+        A guard's psi is evaluated once per value of its chain variables,
+        with one budget step each, as a path of its own below the binder:
+        the chain quantifiers are not evaluated, so they add no
+        alternation.
+        """
+        n = self.structure.domain_size
+        existential = isinstance(phi, _EXISTS_REL)
+        lower, upper = set(), None
+        budget = self.budget
+        for is_upper, psis, chain, perm, inner in guards:
+            found = set()  # upper: where psi is `existential`; lower: where it is not
+            old = [J.get(v, _MISSING) for v in chain]
+            try:
+                for values in itertools.product(range(n), repeat=len(chain)):
+                    if budget is not None:
+                        budget.charge()
+                    J.update(zip(chain, values))
+                    holds = (any if existential else all)(
+                        self.eval(J, p, mode, switches) for p in psis
+                    )
+                    if (holds is existential) is is_upper:
+                        for rest in itertools.product(range(n), repeat=inner):
+                            src = values + rest
+                            found.add(tuple(src[i] for i in perm))
+            finally:
+                for v, value in zip(chain, old):
+                    if value is _MISSING:
+                        J.pop(v, None)
+                    else:
+                        J[v] = value
+            if is_upper:
+                upper = found if upper is None else upper & found
+            else:
+                lower |= found
+        return lower, upper
 
 
 _DISPATCH = {
@@ -470,6 +701,21 @@ def _sparse_relations(n: int, arity: int, cap: int):
             yield RelValue(arity, frozenset(combo))
 
 
+def _bounded_relations(n: int, arity: int, lower: set, upper: set | None, cap: int):
+    """The relations L u Y for Y a subset of upper minus L (the whole
+    tuple universe when upper is None) of at most cap tuples, smallest
+    first; none when L is not within upper."""
+    if upper is None:
+        free = [t for t in _tuple_universe(n, arity) if t not in lower]
+    elif lower <= upper:
+        free = sorted(upper - lower)
+    else:
+        return
+    for card in range(cap - len(lower) + 1):
+        for combo in itertools.combinations(free, card):
+            yield RelValue(arity, frozenset(lower.union(combo)))
+
+
 def _all_functions(n: int, arity: int):
     universe = _tuple_universe(n, arity)
     for values in itertools.product(range(n), repeat=len(universe)):
@@ -502,6 +748,7 @@ def eval_so(
     budget: Budget | None = None,
     *,
     memo: bool = True,
+    guards: bool = True,
     stats: EvalStats | None = None,
 ) -> bool:
     """Decide A |= phi[assignment] for a second-order formula.
@@ -515,17 +762,26 @@ def eval_so(
     the arity used; otherwise ``ValueError`` is raised once, before
     evaluation.  Memo keys (``memo=True``) read such a name as None,
     which no value that a quantifier binds to it equals.
-    ``stats.alternations`` reports the largest number of
-    existential/universal switches met along one evaluation path (with
-    ``memo=True`` shared verdicts can hide some paths; pass
-    ``memo=False`` when the meter itself matters).
+
+    With ``guards=True`` a relation quantifier tries only the relations
+    its body's guards allow (see the module docstring); verdicts and
+    raised errors are those of ``guards=False``, which tries every
+    relation of the arity.  ``stats.alternations`` reports the largest
+    number of existential/universal switches met along one path that is
+    actually evaluated; shared verdicts (``memo=True``) and skipped
+    relations (``guards=True``) can hide some paths, so pass
+    ``memo=False, guards=False`` when the meter itself matters.  A
+    formula nested deeper than ``syntax.MAX_DEPTH`` raises
+    ``syntax.NestingTooDeep``, a ``ValueError``.
     """
     S.check_language(phi, "so")
     nnf = to_nnf(phi)
     J = dict(assignment.entries)
-    ev = _SOEvaluator(structure, budget, stats or EvalStats(), memo)
+    ev = _SOEvaluator(structure, budget, stats or EvalStats(), memo, guards)
     ev.prepare(nnf, J)
     check_symbols(ev.preds, ev.fun_uses, structure)
+    if ev.guards and not ev.cannot_raise(J):
+        ev.guards.clear()
     return ev.eval(J, nnf, None, 0)
 
 
@@ -569,7 +825,15 @@ def _extend(xs: tuple[str, ...], y: str) -> tuple[str, ...]:
     return xs if y in xs else xs + (y,)
 
 
-def _eta(phi: S.Formula, xs: tuple[str, ...], rel: str, fresh: _FreshRels) -> S.Formula:
+def _exists_rel(name: str, arity: int, body: S.Formula, bound: SparseBound | None) -> S.Formula:
+    if bound is None:
+        return S.ExistsRel(name, arity, body)
+    return S.ExistsRelSparse(name, arity, bound, body)
+
+
+def _eta(phi: S.Formula, xs: tuple[str, ...], rel: str, fresh: _FreshRels, bound) -> S.Formula:
+    """eta of phi; each relation quantifier it introduces carries
+    ``bound`` (plain E2 when None)."""
     if S.is_fo(phi):
         return S.forall_all(xs, S.Implies(_rel_app(rel, xs), phi))
     if isinstance(phi, S.DepAtom):
@@ -580,11 +844,11 @@ def _eta(phi: S.Formula, xs: tuple[str, ...], rel: str, fresh: _FreshRels) -> S.
         membership = S.exists_all(xs, S.And(_rel_app(rel, xs), eqs))
         fix_s = S.forall_all(zs, S.Iff(_rel_app(sname, zs), membership))
         delta_s = S.subst_pred_by_relvar(phi.dep.delta, "P", sname)
-        return S.ExistsRel(sname, k, S.And(fix_s, delta_s))
+        return _exists_rel(sname, k, S.And(fix_s, delta_s), bound)
     if isinstance(phi, (S.BoolNot, S.And)):
         # ~ becomes classical negation, & stays conjunction
         cls = S.Not if isinstance(phi, S.BoolNot) else S.And
-        return S.map_children(phi, lambda c: _eta(c, xs, rel, fresh), cls)
+        return S.map_children(phi, lambda c: _eta(c, xs, rel, fresh, bound), cls)
     if isinstance(phi, S.Or):
         sname = fresh.next()
         uname = fresh.next()
@@ -592,18 +856,12 @@ def _eta(phi: S.Formula, xs: tuple[str, ...], rel: str, fresh: _FreshRels) -> S.
             xs,
             S.Iff(_rel_app(rel, xs), S.Or(_rel_app(sname, xs), _rel_app(uname, xs))),
         )
-        return S.ExistsRel(
-            sname,
-            len(xs),
-            S.ExistsRel(
-                uname,
-                len(xs),
-                S.And(
-                    S.And(cover, _eta(phi.left, xs, sname, fresh)),
-                    _eta(phi.right, xs, uname, fresh),
-                ),
-            ),
+        parts = S.And(
+            S.And(cover, _eta(phi.left, xs, sname, fresh, bound)),
+            _eta(phi.right, xs, uname, fresh, bound),
         )
+        k = len(xs)
+        return _exists_rel(sname, k, _exists_rel(uname, k, parts, bound), bound)
     if isinstance(phi, (S.Exists, S.Forall)):
         y = phi.var
         xsy = _extend(xs, y)
@@ -615,31 +873,30 @@ def _eta(phi: S.Formula, xs: tuple[str, ...], rel: str, fresh: _FreshRels) -> S.
                 S.Exists(y, _rel_app(sname, xsy)),
             ),
         )
-        body = S.And(same_rest, _eta(phi.body, xsy, sname, fresh))
+        body = S.And(same_rest, _eta(phi.body, xsy, sname, fresh, bound))
         if isinstance(phi, S.Forall):
             everywhere = S.forall_all(
                 xs, S.Implies(_rel_app(rel, xs), S.Forall(y, _rel_app(sname, xsy)))
             )
             body = S.And(body, everywhere)
-        return S.ExistsRel(sname, len(xsy), body)
+        return _exists_rel(sname, len(xsy), body, bound)
     raise ValueError(f"not a team-logic formula: {S.format_formula(phi)}")
 
 
 def _prepare_translation(phi: S.Formula, xs, rel: str):
-    S.check_language(phi, "team")
-    if xs is None:
-        xs = tuple(sorted(S.free_vars(phi)))
-    else:
-        xs = tuple(xs)
+    if S.check_language(phi, "team") > S.MAX_DEPTH:
+        raise S.NestingTooDeep()
+    free = S.free_vars(phi)
+    xs = tuple(sorted(free)) if xs is None else tuple(xs)
     if len(set(xs)) != len(xs):
         raise ValueError(f"duplicate variables in {xs}")
-    missing = S.free_vars(phi) - set(xs)
+    missing = free - set(xs)
     if missing:
         raise ValueError(f"free variables {sorted(missing)} not among {list(xs)}")
-    avoid = S.pred_names(phi) | {rel}
-    if rel in S.pred_names(phi):
+    preds = S.pred_names(phi)
+    if rel in preds:
         raise ValueError(f"relation name {rel!r} clashes with a predicate of the formula")
-    return xs, _FreshRels(avoid)
+    return xs, _FreshRels(preds | {rel})
 
 
 def translate_eta(phi: S.Formula, xs=None, rel: str = "R") -> S.Formula:
@@ -650,16 +907,7 @@ def translate_eta(phi: S.Formula, xs=None, rel: str = "R") -> S.Formula:
     and defaults to them in sorted order.
     """
     xs, fresh = _prepare_translation(phi, xs, rel)
-    return _eta(phi, xs, rel, fresh)
-
-
-def _sparsify(phi: S.Formula, bound: SparseBound) -> S.Formula:
-    """Give every introduced relation quantifier the cardinality bound."""
-    if isinstance(phi, S.ExistsRel):
-        return S.ExistsRelSparse(phi.name, phi.arity, bound, _sparsify(phi.body, bound))
-    if isinstance(phi, S.ForallRel):
-        return S.ForallRelSparse(phi.name, phi.arity, bound, _sparsify(phi.body, bound))
-    return S.map_children(phi, lambda c: _sparsify(c, bound))
+    return _eta(phi, xs, rel, fresh, None)
 
 
 def sufficient_bound(phi: S.Formula, xs=None, team_size: int | None = None) -> SparseBound:
@@ -692,4 +940,4 @@ def translate_zeta(
     xs, fresh = _prepare_translation(phi, xs, rel)
     if bound is None:
         bound = sufficient_bound(phi, xs, team_size)
-    return _sparsify(_eta(phi, xs, rel, fresh), bound)
+    return _eta(phi, xs, rel, fresh, bound)

@@ -778,63 +778,95 @@ _LANGUAGES = {
 }
 
 
-def _in_language(phi: Formula, language: str) -> bool:
-    """Membership by an explicit stack of (node, language row) pairs,
-    stopping at the first node outside its language."""
-    stack = [(phi, _LANGUAGES[language])]
-    while stack:
-        node, row = stack.pop()
-        leaves, connectives, flat = row
-        if isinstance(node, leaves):
-            continue
-        if flat is not None and isinstance(node, Not):
-            stack.append((node.body, _LANGUAGES[flat]))
-        elif isinstance(node, connectives):
-            stack.extend((c, row) for c in children(node))
-        else:
-            return False
-    return True
+def _height_in(phi: Formula, language: str) -> int:
+    """phi's height (the nodes on its longest branch) when phi belongs to
+    the language, else 0.  It walks one level of (node, language row)
+    pairs at a time, with no recursion, and stops at the first node
+    outside its language."""
+    level = [(phi, _LANGUAGES[language])]
+    height = 0
+    while level:
+        height += 1
+        below = []
+        for node, row in level:
+            leaves, connectives, flat = row
+            if isinstance(node, leaves):
+                continue
+            if flat is not None and isinstance(node, Not):
+                below.append((node.body, _LANGUAGES[flat]))
+            elif isinstance(node, connectives):
+                below.extend((c, row) for c in children(node))
+            else:
+                return 0
+        level = below
+    return height
 
 
 def is_fo(phi: Formula) -> bool:
     """Classical first-order formulas: no ~, no dependency atoms, no modal
     or second-order material."""
-    return _in_language(phi, "fo")
+    return _height_in(phi, "fo") > 0
 
 
 def is_ml(phi: Formula) -> bool:
     """Classical modal logic: propositions, top/bot, ! & | <> []."""
-    return _in_language(phi, "ml")
+    return _height_in(phi, "ml") > 0
 
 
 def is_team(phi: Formula) -> bool:
     """First-order team logic: FO leaves, dependency atoms, ~ & | E A,
     and ! over first-order formulas."""
-    return _in_language(phi, "team")
+    return _height_in(phi, "team") > 0
 
 
 def is_mtl(phi: Formula) -> bool:
     """Modal team logic: ML leaves plus ~ & | <> [], and ! over
     classical modal formulas."""
-    return _in_language(phi, "mtl")
+    return _height_in(phi, "mtl") > 0
 
 
 def is_so(phi: Formula) -> bool:
     """Second-order logic, sugar connectives and sparse quantifiers included."""
-    return _in_language(phi, "so")
+    return _height_in(phi, "so") > 0
 
 
-_LANGUAGE_CHECKS = {"fo": is_fo, "team": is_team, "mtl": is_mtl, "so": is_so}
+_CHECKED_LANGUAGES = ("fo", "team", "mtl", "so")
+
+# The recursive passes over a formula (negation normal form, the
+# translations to second-order logic and the second-order evaluator)
+# accept formulas at most this many levels deep, which keeps them well
+# inside Python's default recursion limit; deeper ones raise
+# NestingTooDeep.
+MAX_DEPTH = 200
 
 
-def check_language(phi: Formula, language: str) -> None:
-    """Raise ValueError if phi is not a well-formed formula of the language."""
-    try:
-        ok = _LANGUAGE_CHECKS[language](phi)
-    except KeyError:
-        raise ValueError(f"unknown language {language!r}") from None
-    if not ok:
-        raise ValueError(f"not a well-formed {language} formula: {format_formula(phi)}")
+class NestingTooDeep(ValueError):
+    """A formula nested deeper than ``MAX_DEPTH`` levels."""
+
+    def __init__(self):
+        super().__init__("formula nested too deeply")
+
+
+def check_language(phi: Formula, language: str) -> int:
+    """Raise ValueError if phi is not a well-formed formula of the
+    language; otherwise return its height, measured on the way."""
+    if language not in _CHECKED_LANGUAGES:
+        raise ValueError(f"unknown language {language!r}")
+    height = _height_in(phi, language)
+    if not height:
+        raise ValueError(f"not a well-formed {language} formula: {format_formula(_shallow(phi))}")
+    return height
+
+
+_ELIDED = Pred("...")
+
+
+def _shallow(phi: Formula, levels: int = 40) -> Formula:
+    """phi with every subformula more than ``levels`` deep shown as
+    ``...``, so that a message can print a formula of any depth."""
+    if levels == 0:
+        return _ELIDED if children(phi) else phi
+    return map_children(phi, lambda c: _shallow(c, levels - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +997,7 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, language: str, vocab: Vocabulary | None):
-        if language not in _LANGUAGE_CHECKS:
+        if language not in _CHECKED_LANGUAGES:
             raise ValueError(f"unknown language {language!r}")
         self.tokens = _tokenize(text)
         self.i = 0

@@ -273,6 +273,122 @@ def sample_oracle_instance(
 
 
 # ---------------------------------------------------------------------------
+# Random second-order sentences whose relation quantifiers are often
+# guarded: each binder's body has, most of the time, a conjunct
+# A vs. (X | psi) (a disjunct E vs. (X & psi) under A2/Ap) whose X holds
+# a literal over the bound relation.  The draws vary what decides whether
+# the conjunct is a guard: inner quantifiers in X that may shadow a chain
+# variable, chain variables the literal lacks, psi mentioning the relation
+# or a relation bound on the way down, repeated arguments, a binder of the
+# same name in between, a guard under the other connective, and sparse
+# caps; and, rarely, a relation used at the wrong arity.
+
+SO_ELEMENTS = ("x", "y", "z")
+
+
+class SmallDraws(random.Random):
+    """A Random that takes every draw from Hypothesis as an integer in a
+    small range.  Hypothesis draws ``random()`` floats as 0.0 about half
+    the time and wide integers with a strong bias to small values, so the
+    generators would mostly take their first branch; small ranges come
+    out close to uniform and still shrink towards 0."""
+
+    def __init__(self, source: random.Random):
+        self._source = source
+        super().__init__()
+
+    def random(self) -> float:
+        return self._source.randrange(1024) / 1024
+
+    def _randbelow(self, n: int) -> int:
+        return self._source.randrange(n)
+
+
+def _so_atom(rng: random.Random, rels: dict):
+    t = lambda: Var(rng.choice(SO_ELEMENTS))
+    roll = rng.random()
+    if roll < 0.2:
+        return Pred("P", (t(),))
+    if roll < 0.35:
+        return Pred("R", (t(), t()))
+    if roll < 0.45:
+        return Eq(t(), t())
+    if roll < 0.5:
+        return TOP if rng.random() < 0.5 else BOT
+    name = rng.choice(sorted(rels))
+    arity = rels[name] if rng.random() < 0.98 else 3 - rels[name]
+    return S.RelApp(name, tuple(t() for _ in range(arity)))
+
+
+def _so_guard(rng: random.Random, name: str, arity: int, existential: bool, rels: dict):
+    spine, parts, quant = (And, Or, Forall) if existential else (Or, And, Exists)
+    args = [rng.choice(SO_ELEMENTS) for _ in range(arity)]
+    inner = [a for a in dict.fromkeys(args) if rng.random() < 0.25]
+    chain = [a for a in dict.fromkeys(args) if a not in inner]
+    if rng.random() < 0.2:
+        chain.append(rng.choice(SO_ELEMENTS))
+    x = S.RelApp(name, tuple(Var(a) for a in args))
+    if rng.random() < 0.5:
+        x = Not(x)
+    if rng.random() < 0.3:
+        other = _so_atom(rng, rels)
+        x = spine(x, other) if rng.random() < 0.5 else spine(other, x)
+    for w in inner:
+        x = quant(w, x)
+    psi = random_so_formula(rng, rng.randint(1, 3), rels)
+    body = parts(x, psi) if rng.random() < 0.5 else parts(psi, x)
+    for v in reversed(chain):
+        body = quant(v, body)
+    return body
+
+
+def _so_binder(rng: random.Random, size_: int, rels: dict):
+    existential = rng.random() < 0.5
+    name, arity = rng.choice(("S", "T", "S")), rng.randint(1, 2)
+    rels = {**rels, name: arity}
+    body = random_so_formula(rng, size_ - 1, rels)
+    if rng.random() < 0.75:
+        guard = _so_guard(rng, name, arity, existential, rels)
+        spine = And if existential else Or
+        if rng.random() < 0.3:  # a binder in between, maybe of the same name
+            other = rng.choice(("U", name))
+            rest = random_so_formula(rng, 2, {**rels, other: arity})
+            cls = S.ExistsRel if existential else S.ForallRel
+            guard = cls(other, arity, spine(guard, rest))
+        if rng.random() < 0.15:  # under the other connective: no guard
+            spine = Or if existential else And
+        body = spine(guard, body) if rng.random() < 0.5 else spine(body, guard)
+    if rng.random() < 0.4:
+        cls = S.ExistsRelSparse if existential else S.ForallRelSparse
+        return cls(name, arity, S.SparseBound.scaled_power(1, rng.randint(0, 1)), body)
+    return (S.ExistsRel if existential else S.ForallRel)(name, arity, body)
+
+
+def random_so_formula(rng: random.Random, size_: int, rels: dict):
+    """A random second-order formula over P/1, R/2, =, the relation
+    variables ``rels`` (name -> arity) and the elements x, y, z."""
+    if size_ <= 1:
+        return _so_atom(rng, rels)
+    roll = rng.random()
+    if roll < 0.08:
+        return Not(random_so_formula(rng, size_ - 1, rels))
+    if roll < 0.45:
+        k = rng.randint(1, size_ - 1)
+        cls = rng.choice((And, Or, And, Or, S.Implies, S.Iff))
+        left = random_so_formula(rng, k, rels)
+        return cls(left, random_so_formula(rng, max(1, size_ - 1 - k), rels))
+    if roll < 0.7:
+        cls = Exists if rng.random() < 0.5 else Forall
+        return cls(rng.choice(SO_ELEMENTS), random_so_formula(rng, size_ - 1, rels))
+    return _so_binder(rng, size_, rels)
+
+
+def random_so_sentence(rng: random.Random, size_: int):
+    """A relation quantifier over a random formula; V/2 is free."""
+    return _so_binder(rng, size_, {"V": 2})
+
+
+# ---------------------------------------------------------------------------
 # Law instantiation: build a random formula whose root matches the
 # left-hand shape of each rewrite law.
 

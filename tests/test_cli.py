@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tlk
 
 from tlk import eval_team, parse
 from tlk.cli import EXIT_FALSE, EXIT_NOFILE, EXIT_RESOURCE, EXIT_TRUE, EXIT_USAGE, main
@@ -194,13 +200,15 @@ def test_mc_missing_file_exits_66(capsys):
     [
         ("parse", "(" * 400 + "P(x)" + ")" * 400),
         ("mc", " & ".join(["P(x)"] * 1500)),
+        ("mc-so", " & ".join(["P(x)"] * 1500)),
     ],
 )
 def test_deep_nesting_is_a_resource_failure_not_a_verdict(capsys, model_file, command, formula):
-    # Each input exhausts Python's recursion limit; that must not read as
+    # Each input exhausts Python's recursion limit (or, for mc-so, the
+    # depth the second-order evaluator accepts); that must not read as
     # the verdict "false" (exit 1) or end in a traceback.
     argv = [command, "--formula", formula]
-    if command == "mc":
+    if command != "parse":
         argv += ["--structure", model_file]
     code, out, err = run(capsys, argv)
     assert code == EXIT_RESOURCE
@@ -603,3 +611,28 @@ def test_seed_and_jobs_flags_are_accepted_everywhere(capsys):
 def test_unknown_subcommand_exits_64(capsys):
     code, _, err = run(capsys, ["frobnicate"])
     assert code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# Output pipe closed early
+
+
+@pytest.mark.parametrize(
+    "formula, code", [("P(x)", EXIT_TRUE), ("~(x = x)", EXIT_FALSE)]
+)
+def test_a_closed_output_pipe_keeps_the_exit_code(formula, code):
+    # `tlk sat ... | head -0`: the reader is gone before tlk prints
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(tlk.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tlk.cli", "sat", "--formula", formula, "--max-domain", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")

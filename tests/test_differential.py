@@ -25,9 +25,14 @@ it finds.
 from __future__ import annotations
 
 import itertools
-import random
 
-from helpers import all_teams, random_kripke, random_mtl_formula, sample_oracle_instance
+from helpers import (
+    SmallDraws,
+    all_teams,
+    random_kripke,
+    random_mtl_formula,
+    sample_oracle_instance,
+)
 from hypothesis import HealthCheck, assume, given, note, settings
 from hypothesis import strategies as st
 
@@ -41,24 +46,6 @@ TEAM_BUDGET = 400_000
 SO_BUDGET = 1_500_000
 DNF_SIZE_BUDGET = 20_000
 XY = ("x", "y")
-
-
-class _SmallDraws(random.Random):
-    """A Random that takes every draw from Hypothesis as an integer in a
-    small range.  Hypothesis draws ``random()`` floats as 0.0 about half
-    the time and wide integers with a strong bias to small values, so the
-    generators would mostly take their first branch; small ranges come
-    out close to uniform and still shrink towards 0."""
-
-    def __init__(self, source: random.Random):
-        self._source = source
-        super().__init__()
-
-    def random(self) -> float:
-        return self._source.randrange(1024) / 1024
-
-    def _randbelow(self, n: int) -> int:
-        return self._source.randrange(n)
 
 
 def _rows(team: Team) -> list[list[int]]:
@@ -112,7 +99,7 @@ def _check_modal_routes(rng) -> None:
 )
 @given(st.randoms(use_true_random=False))
 def test_every_route_gives_one_verdict(source):
-    rng = _SmallDraws(source)
+    rng = SmallDraws(source)
     try:
         _check_team_routes(rng)
         _check_modal_routes(rng)

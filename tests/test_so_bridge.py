@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, note, settings
 from hypothesis import strategies as st
 
 from tlk import (
@@ -34,7 +35,16 @@ from tlk.so_bridge import (
     translate_zeta,
 )
 
-from helpers import random_structure, random_team, random_team_formula
+from helpers import (
+    SO_ELEMENTS,
+    SmallDraws,
+    random_so_sentence,
+    random_structure,
+    random_team,
+    random_team_formula,
+)
+
+XY = ("x", "y")
 
 
 def _structure():
@@ -236,7 +246,7 @@ def test_eval_so_alternation_meter():
     ]
     for text, expected in meters:
         stats = EvalStats()
-        eval_so(A, EMPTY_SO_ASSIGNMENT, parse(text, "so"), memo=False, stats=stats)
+        eval_so(A, EMPTY_SO_ASSIGNMENT, parse(text, "so"), memo=False, guards=False, stats=stats)
         assert stats.alternations == expected, text
 
 
@@ -278,10 +288,15 @@ def test_eval_so_budget_and_stats():
     # relations, so a small budget must run out along the way.
     phi = parse("A2 X:2. ((E x. E y. X(x,y)) | (A x. A y. (!X(x,y))))", "so")
     with pytest.raises(BudgetExceeded):
-        eval_so(A, EMPTY_SO_ASSIGNMENT, phi, Budget(max_steps=20))
+        eval_so(A, EMPTY_SO_ASSIGNMENT, phi, Budget(max_steps=20), guards=False)
     stats = EvalStats()
-    assert eval_so(A, EMPTY_SO_ASSIGNMENT, phi, stats=stats) is True
+    assert eval_so(A, EMPTY_SO_ASSIGNMENT, phi, stats=stats, guards=False) is True
     assert stats.nodes > 50
+    # The first disjunct guards X: any X with a tuple makes the body
+    # true, so with guards only the empty relation is tried.
+    guarded = EvalStats()
+    assert eval_so(A, EMPTY_SO_ASSIGNMENT, phi, stats=guarded) is True
+    assert guarded.nodes < 20
 
 
 def _fun_structure():
@@ -471,6 +486,186 @@ def test_preparing_a_deep_sentence_reads_each_atom_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Guarded relation quantifiers
+
+
+def _guard_structure():
+    return Structure(
+        2,
+        {"P": frozenset(), "Q": frozenset({(0,)}), "R": frozenset({(0, 1)})},
+        arities={"P": 1, "Q": 1, "R": 2},
+    )
+
+
+def _outcome(A, J, phi, guards, memo=True, budget=None):
+    """eval_so's verdict, or the type and message of the error it raises."""
+    try:
+        return eval_so(A, J, phi, budget, memo=memo, guards=guards)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _guarded_evaluator(A, J, sentence):
+    """An evaluator prepared with guards on, as eval_so prepares one."""
+    ev = so_bridge._SOEvaluator(A, None, EvalStats(), True, True)
+    ev.prepare(sentence, dict(J.entries))
+    return ev
+
+
+def _guards_by_binder(sentence):
+    """binder name -> [(kind, psi texts, chain variables, inner count)]."""
+    ev = _guarded_evaluator(_guard_structure(), EMPTY_SO_ASSIGNMENT, sentence)
+    out = {}
+    for node in S.walk(sentence):
+        for upper, psis, chain, _, inner in ev.guards.get(id(node), ()):
+            texts = [S.format_formula(p) for p in psis]
+            out.setdefault(node.name, []).append(
+                ("upper" if upper else "lower", texts, chain, inner)
+            )
+    return out
+
+
+def test_guards_recognise_the_split_cover():
+    sentence = to_nnf(translate_eta(parse("P(x) | dep(x,y)", "team"), XY, rel="R0"))
+    guards = _guards_by_binder(sentence)
+    # S0, S1 <= R0, and S1 >= R0 minus S0 (the cover's other half); the
+    # flat left disjunct bounds S0 too
+    assert ("upper", ["R0(x,y)"], XY, 0) in guards["S0"]
+    assert ("upper", ["P(x)"], XY, 0) in guards["S0"]
+    assert ("upper", ["R0(x,y)"], XY, 0) in guards["S1"]
+    assert ("lower", ["!R0(x,y)", "S0(x,y)"], XY, 0) in guards["S1"]
+    # S0's half of the cover reads S1, which is bound below S0
+    assert all("S1(x,y)" not in texts for _, texts, _, _ in guards["S0"])
+
+
+def test_guards_recognise_the_dependency_atom_definition():
+    sentence = to_nnf(translate_eta(parse("dep(x,y)", "team"), XY, rel="R0"))
+    lower, upper = sorted(_guards_by_binder(sentence)["S0"])
+    assert (lower[0], lower[2:], upper[0], upper[2:]) == (
+        "lower", (("z0", "z1"), 0), "upper", (("z0", "z1"), 0)
+    )
+    [member], [outside] = upper[1], lower[1]
+    assert member.startswith("E x. E y. (R0(x,y) &")
+    assert outside.startswith("A x. A y. ((!R0(x,y)) |")
+    # the definition pins S0 down: its lower and upper bounds agree
+    A = _guard_structure()
+    J = SOAssignment.of({"R0": RelValue.of(2, [(0, 1), (1, 1)])})
+    ev = _guarded_evaluator(A, J, sentence)
+    lower_set, upper_set = ev._bounds(dict(J.entries), sentence, ev.guards[id(sentence)], None, 0)
+    assert lower_set == upper_set == {(0, 1), (1, 1)}
+
+
+@pytest.mark.parametrize("quantifier", ["E", "A"])
+def test_guards_recognise_same_rest(quantifier):
+    phi = parse(f"{quantifier} y. ~P(y)", "team")
+    guards = _guards_by_binder(to_nnf(translate_eta(phi, ("x",), rel="R0")))["S0"]
+    # same_rest: S0 <= R0's rows times the domain, y a free column
+    assert ("upper", ["E y. R0(x)"], ("x",), 1) in guards
+    # the A clause's `everywhere` conjunct: S0 >= the same set
+    assert (("lower", ["!R0(x)"], ("x",), 1) in guards) is (quantifier == "A")
+
+
+_GUARD_CASES = [
+    # (sentence, assignment, verdict, whether the outer binder is narrowed)
+    # a chain variable shadowed inside X: psi reads only x
+    ("E2 S:2. ((E y. S(y,y)) & (A x. A y. ((A y. !S(x,y)) | (E y. R(x,y)))))", {}, True, True),
+    # ... and one that psi reads: no guard
+    ("E2 S:1. ((E y. S(y)) & (A y. ((A y. !S(y)) | Q(y))))", {}, False, False),
+    ("E2 S:2. ((A y. ((!S(x,y)) | (E y. S(x,y)))) & (E y. S(x,y)))", {"x": 0}, True, False),
+    # psi binds a relation of its own
+    ("E2 S:1. ((E y. S(y)) & (A y. ((!S(y)) | (E2 T:1. (T(y) & (A z. ((!T(z)) | Q(z))))))))",
+     {}, True, True),
+    # psi reads a relation bound between the binder and the conjunct
+    ("E2 S:1. ((E y. S(y)) & (E2 T:1. ((E y. T(y)) & (A y. ((!S(y)) | T(y))))))", {}, True, False),
+    # under |, the would-be guard S <= P = {} is no guard
+    ("E2 S:1. ((E y. S(y)) & ((A y. ((!S(y)) | P(y))) | top))", {}, True, False),
+    ("A2 S:1. ((E y. (S(y) & Q(y))) | (A y. !S(y)) | (E y. (S(y) & (!Q(y)))))", {}, True, True),
+    ("A2 S:1. ((E y. (S(y) & Q(y))) | (E y. S(y) & P(y)))", {}, False, True),
+    # lower bounds within and beyond the sparse cap
+    ("Ep[scaled:1,0] S:1. (A y. (S(y) | Q(y)))", {}, True, True),
+    ("Ep[scaled:1,0] S:1. (A y. S(y))", {}, False, True),
+    ("Ap[scaled:1,0] S:1. ((E y. ((!S(y)) & Q(y))) | (A y. !S(y)))", {}, False, True),
+    # z is unassigned: the candidate S = {0}, which the guard rules out,
+    # reads it, so guards are off and both settings raise
+    ("E2 S:1. ((E y. (S(y) & z = z)) & (A y. ((!S(y)) | P(y))))", {},
+     (ValueError, "unassigned variable 'z'"), False),
+    # likewise when S is read as an element there (the assigned element
+    # S is shadowed by the relation)
+    ("E2 S:1. ((E y. (S(y) & y = S)) & (A y. ((!S(y)) | P(y))))", {"S": 0},
+     (ValueError, "'S' is not an element variable here"), False),
+    # ... or an element binder S hides the relation from S(y)
+    ("E2 S:1. ((E y. (S(y) & (E S. S(y)))) & (A y. ((!S(y)) | P(y))))", {},
+     (ValueError, "'S' is not a relation variable here"), False),
+    ("E2 S:1. ((E y. (S(y) & (Ef S:1. S(y)))) & (A y. ((!S(y)) | P(y))))", {},
+     (ValueError, "'S' is not a relation variable here"), False),
+]
+
+
+@pytest.mark.parametrize("text, entries, want, narrowed", _GUARD_CASES)
+def test_guards_keep_the_verdict(text, entries, want, narrowed):
+    A, J, phi = _guard_structure(), SOAssignment.of(entries), parse(text, "so")
+    for memo in (True, False):
+        assert _outcome(A, J, phi, False, memo) == want
+        assert _outcome(A, J, phi, True, memo) == want
+    nnf = to_nnf(phi)
+    ev = _guarded_evaluator(A, J, nnf)
+    assert (id(nnf) in ev.guards and ev.cannot_raise(dict(J.entries))) is narrowed
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.randoms(use_true_random=False))
+def test_guards_keep_every_verdict_and_error(source):
+    """Random sentences (not eta output): guards=True answers or raises
+    exactly as guards=False, memo on or off."""
+    rng = SmallDraws(source)
+    phi = random_so_sentence(rng, rng.randint(2, 7))
+    n = rng.randint(1, 2)
+    A = random_structure(rng, n)
+    entries = {v: rng.randrange(n) for v in SO_ELEMENTS if rng.random() < 0.9}
+    if rng.random() < 0.9:
+        arity = 2 if rng.random() < 0.9 else 1
+        tuples = [t for t in itertools.product(range(n), repeat=arity) if rng.random() < 0.5]
+        entries["V"] = RelValue.of(arity, tuples)
+    J, memo = SOAssignment.of(entries), rng.random() < 0.5
+    note(f"n={n} P={sorted(A.relations['P'])} R={sorted(A.relations['R'])} J={entries}")
+    note(f"sentence {S.format_formula(phi)} memo={memo}")
+    try:
+        want = _outcome(A, J, phi, False, memo, Budget(200_000))
+    except BudgetExceeded:
+        assume(False)
+    assert _outcome(A, J, phi, True, memo) == want
+
+
+def _chain(terms):
+    x = S.Var("x")
+    phi = S.Pred("P", (x,))
+    for _ in range(terms - 1):
+        phi = S.And(phi, S.Pred("P", (x,)))
+    return phi
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda phi: eval_so(_structure(), SOAssignment.of(x=0), phi),
+        to_nnf,
+        translate_eta,
+        translate_zeta,
+    ],
+    ids=["eval_so", "to_nnf", "translate_eta", "translate_zeta"],
+)
+def test_deep_input_raises_a_tlk_error(call):
+    with pytest.raises(ValueError, match="^formula nested too deeply$"):
+        call(_chain(1500))
+    call(_chain(150))  # well below the limit: no error
+
+
+# ---------------------------------------------------------------------------
 # The direct translation
 
 
@@ -613,10 +808,27 @@ def test_translations_agree_with_direct_evaluation():
     checked = 0
     for phi, A, T, J, eta, zeta in _translation_corpus():
         direct = eval_team(A, T, phi)
-        assert eval_so(A, J, eta) is direct, S.format_formula(phi)
-        assert eval_so(A, J, zeta) is direct, S.format_formula(phi)
+        for guards in (True, False):
+            assert eval_so(A, J, eta, guards=guards) is direct, S.format_formula(phi)
+            assert eval_so(A, J, zeta, guards=guards) is direct, S.format_formula(phi)
         checked += 1
     assert checked >= 40
+
+
+def _corpus_work(guards):
+    """Budget.used, nodes and alternations summed over the corpus per
+    (translation, memo)."""
+    totals = {}
+    for _, A, _, J, eta, zeta in _translation_corpus():
+        for name, sentence in (("eta", eta), ("zeta", zeta)):
+            for memo in (True, False):
+                budget, stats = Budget(), EvalStats()
+                eval_so(A, J, sentence, budget, memo=memo, guards=guards, stats=stats)
+                total = totals.setdefault((name, memo), [0, 0, 0])
+                total[0] += budget.used
+                total[1] += stats.nodes
+                total[2] += stats.alternations
+    return totals
 
 
 def test_eval_so_work_counters_on_the_translation_corpus():
@@ -628,7 +840,7 @@ def test_eval_so_work_counters_on_the_translation_corpus():
         for name, sentence in (("eta", eta), ("zeta", zeta)):
             for memo in (True, False):
                 budget, stats = Budget(), EvalStats()
-                eval_so(A, J, sentence, budget, memo=memo, stats=stats)
+                eval_so(A, J, sentence, budget, memo=memo, guards=False, stats=stats)
                 total = totals.setdefault((name, memo), [0, 0, 0])
                 total[0] += budget.used
                 total[1] += stats.nodes
@@ -638,4 +850,17 @@ def test_eval_so_work_counters_on_the_translation_corpus():
         ("eta", False): [348812, 268357, 72],
         ("zeta", True): [107169, 76191, 72],
         ("zeta", False): [334953, 257699, 72],
+    }
+
+
+def test_eval_so_guarded_work_counters_on_the_translation_corpus():
+    """The same sums with guards, next to the unguarded ones above: the
+    covers, dependency-atom definitions and same_rest conjuncts of eta
+    narrow its quantifiers, and on this corpus zeta's cardinality bound
+    never cuts below them, so both translations cost the same."""
+    assert _corpus_work(True) == {
+        ("eta", True): [24756, 14865, 58],
+        ("eta", False): [52867, 36763, 69],
+        ("zeta", True): [24756, 14865, 58],
+        ("zeta", False): [52867, 36763, 69],
     }

@@ -244,9 +244,9 @@ def test_language_predicates():
 
 
 def test_language_check_and_walk_run_on_a_5000_term_chain():
-    # Both work on an explicit stack: the chain is far deeper than the
-    # recursion limit, and each NE P(x) is visited once, not once per
-    # enclosing node.
+    # Neither recurses: the chain is far deeper than the recursion
+    # limit, and each NE P(x) is visited once, not once per enclosing
+    # node.
     ne = S.mk_e(S.Pred("P", (S.Var("x"),)))
     phi = ne
     for _ in range(4999):
@@ -262,6 +262,25 @@ def test_language_check_and_walk_run_on_a_5000_term_chain():
     for _ in range(4999):
         bad = S.And(bad, ne)
     assert not S.is_team(bad)
+
+
+def test_check_language_names_a_deep_ill_formed_formula():
+    # the message prints the top 40 levels, so it needs no deep recursion
+    bad = S.Prop("p")
+    for _ in range(1499):
+        bad = S.And(bad, S.Pred("P", (S.Var("x"),)))
+    with pytest.raises(ValueError) as err:
+        S.check_language(bad, "team")
+    assert str(err.value) == "not a well-formed team formula: ... & P(x)" + " & P(x)" * 39
+    # shallow formulas are printed whole, as before
+    with pytest.raises(ValueError, match=r"formula: p & P\(x\)$"):
+        S.check_language(S.And(S.Prop("p"), S.Pred("P", (S.Var("x"),))), "team")
+
+
+def test_check_language_returns_the_height():
+    assert S.check_language(parse("P(x)", "team"), "team") == 1
+    assert S.check_language(parse("P(x) & (E y. ~R(x,y))", "team"), "team") == 4
+    assert S.check_language(parse("!(P(x) | P(y))", "team"), "team") == 3
 
 
 def test_walk_is_root_first_then_children_left_to_right():
