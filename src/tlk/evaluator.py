@@ -21,17 +21,21 @@ Positional teams.  Inside the evaluators a team is an int bitmask.  A
 frame holds the rows over the sorted variables xs that one call has
 met, numbered in the order they were met, so a mask is as wide as the
 rows in use; enumerations sort a mask's rows by their values, which is
-``Team.sorted_rows`` order.  The frames of a call and their tables of
-restriction and supplementation, kept per row touched, belong to that
-call.  A cover is two masks, and memo keys are (id(phi), frame, mask).
-``eval_team`` restricts its ``Team`` to the free variables of phi and
-converts it once, at entry; rows become ``Assignment`` objects again
-only where a first-order formula or a dependency atom reads them.
-``eval_mtl`` works on masks over worlds, bit w for world w.
+``Team.sorted_rows`` order.  The frames of an evaluator and their tables
+of restriction and supplementation, kept per row touched, belong to
+that evaluator.  A cover is two masks, and memo keys are (id(phi),
+frame, mask).  ``eval_team`` restricts its ``Team`` to the free
+variables of phi and converts it once, at entry; rows become
+``Assignment`` objects again only where a first-order formula or a
+dependency atom reads them.  The bounded search evaluates every team of
+one structure with one evaluator (``_StructureTeams``), so its teams
+share all of these.  ``eval_mtl`` works on masks over worlds, bit w for
+world w.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import syntax as S
@@ -153,21 +157,32 @@ def check_symbols(preds, funcs, structure: Structure) -> None:
                 )
 
 
+# The team and modal evaluators recurse about twice per nesting level
+# (``eval`` and ``_eval_inner``; ``eval_fo`` at most twice), where the
+# second-order passes that ``syntax.MAX_DEPTH`` bounds recurse three
+# times, so they accept formulas half as deep again.
+MAX_TEAM_DEPTH = 3 * S.MAX_DEPTH // 2
+
+
 class _Prepared:
     """What evaluation needs to know about a formula before it sees a
     structure or a team, gathered in one bottom-up pass.
 
-    The constructor runs the language check.  ``flat``, ``fr`` and
-    ``hook`` map node ids to flatness (first-order in team logic,
-    classical modal in modal team logic), free variables, and for
-    hook-shaped disjunctions !a | (a & psi) with flat a the pair
-    (a, psi).  ``preds`` and ``funcs`` (name, arity) and ``props`` are
-    the symbols the formula uses.  ``phi`` keeps the formula alive, so the
-    node ids stay valid as long as the tables are in use.
+    The constructor runs the language check and raises
+    ``syntax.NestingTooDeep`` past ``MAX_TEAM_DEPTH`` levels, so the
+    recursive pass below and the evaluators stay within Python's
+    recursion limit.  ``flat``, ``fr`` and ``hook`` map node ids to
+    flatness (first-order in team logic, classical modal in modal team
+    logic), free variables, and for hook-shaped disjunctions
+    !a | (a & psi) with flat a the pair (a, psi).  ``preds`` and
+    ``funcs`` (name, arity) and ``props`` are the symbols the formula
+    uses.  ``phi`` keeps the formula alive, so the node ids stay valid
+    as long as the tables are in use.
     """
 
     def __init__(self, phi: S.Formula, language: str):
-        S.check_language(phi, language)
+        if S.check_language(phi, language) > MAX_TEAM_DEPTH:
+            raise S.NestingTooDeep()
         self.phi = phi
         self.language = language
         self.shape = S._LANGUAGES["fo" if language == "team" else "ml"][:2]
@@ -209,9 +224,9 @@ class _Prepared:
             self.hook[id(node)] = (node.left.body, node.right.right)
 
 
-# The formula prepared last.  The solver calls eval_team once per
-# (structure, team) pair with one formula object, so one entry serves a
-# whole search.  It is replaced by a single assignment and read once per
+# The formula prepared last.  The solver prepares one formula object
+# once per structure and once per witness re-check, so one entry serves
+# a whole search.  It is replaced by a single assignment and read once per
 # call: concurrent callers at worst prepare a formula twice.
 _last_prepared: _Prepared | None = None
 
@@ -338,9 +353,12 @@ class _Frame:
 
     def pack(self, team: Team) -> int:
         """Number the rows of a team over xs in this frame, which has no
-        rows yet, and return the team's mask."""
-        for s in team.rows:
-            values = tuple([v for _, v in s.items])
+        rows yet, in ``Team.sorted_rows`` order (so the order in which a
+        flat check meets them does not depend on the hash seed), and
+        return the team's mask."""
+        # the rows of a team have distinct values, so no two Assignments
+        # are ever compared
+        for values, s in sorted((tuple([v for _, v in s.items]), s) for s in team.rows):
             self.number[values] = len(self.values)
             self.values.append(values)
             self._rows.append(s)
@@ -410,9 +428,10 @@ class _Evaluator:
 
 
 class _TeamEvaluator(_Evaluator):
-    """The first-order team clauses.  The frames of one call and their
-    restriction and supplement tables live here, built for the rows
-    touched, and go with the call."""
+    """The first-order team clauses.  The frames of one evaluator and
+    their restriction and supplement tables live here, built for the rows
+    touched, and go with it: one ``eval_team`` call, or all the teams of
+    one structure in the bounded search (``_StructureTeams``)."""
 
     def __init__(self, structure, prepared, budget, stats, localize, memo):
         super().__init__(prepared, budget, stats, memo)
@@ -420,6 +439,8 @@ class _TeamEvaluator(_Evaluator):
         self.localize = localize
         self.hook = prepared.hook
         self.frames: dict[tuple[str, ...], _Frame] = {}
+        # With memo, (id(flat phi), frame) -> (rows checked, rows false)
+        self.checked: dict = {}
         # (frame, variable set) -> (frame of the kept variables or None
         # when all are kept, their columns, {row: bit})
         self.restricted: dict = {}
@@ -477,10 +498,31 @@ class _TeamEvaluator(_Evaluator):
             options.append(bits)
         return target, options
 
+    def _holds_on_rows(self, frame: _Frame, mask: int, phi: S.Formula) -> bool:
+        """Whether the flat phi holds on every row of the team mask, rows
+        checked in bit order up to the first that fails.  With memo a
+        row is checked at most once per (phi, frame): a team holding a
+        row known false fails at once, and only rows not checked yet are
+        checked."""
+        A = self.structure
+        if not self.memo_enabled:
+            return all(eval_fo(A, frame.row(i), phi) for i in _indices(mask))
+        key = (id(phi), frame)
+        checked, false = self.checked.get(key, (0, 0))
+        if mask & false:
+            return False
+        for i in _indices(mask & ~checked):
+            checked |= 1 << i
+            if not eval_fo(A, frame.row(i), phi):
+                self.checked[key] = (checked, false | 1 << i)
+                return False
+        self.checked[key] = (checked, false)
+        return True
+
     def _eval_inner(self, frame: _Frame, mask: int, phi: S.Formula) -> bool:
         A = self.structure
         if self.flat[id(phi)]:
-            return all(eval_fo(A, frame.row(i), phi) for i in _indices(mask))
+            return self._holds_on_rows(frame, mask, phi)
         if isinstance(phi, S.DepAtom):
             rel = team_image(A, frame.rows(mask), phi.args)
             host = single_predicate_structure(A.domain_size, rel, len(phi.args))
@@ -528,8 +570,9 @@ def eval_team(
     must interpret every predicate and function symbol phi mentions.
     ``localize`` restricts the team to the free variables of each
     subformula (sound by locality); ``memo`` caches verdicts per
-    (subformula, team).  Both are on by default and only worth
-    disabling in tests of those very properties.
+    (subformula, team), and per row for first-order subformulas.  Both
+    are on by default and only worth disabling in tests of those very
+    properties.
 
     The formula's language check, free variables, symbols and per-node
     tables are computed once and reused by the next call with the same
@@ -554,6 +597,50 @@ def eval_team(
     ev = _TeamEvaluator(structure, prepared, budget, stats or EvalStats(), localize, memo)
     frame = ev.frame(team.domain)
     return ev.eval(frame, frame.pack(team), phi)
+
+
+class _StructureTeams:
+    """Every team over the free variables of phi in one structure, for
+    the bounded search: team ``mask`` holds the i-th value tuple of
+    ``itertools.product(range(n), repeat=k)`` exactly when bit i of mask
+    is set, so the search's team counter is the team.
+
+    ``eval_team``'s checks run once, here: the symbol check, and the
+    free-variable check, which holds by construction.  With ``memo`` one
+    evaluator, whose root frame numbers every value tuple in product
+    order, answers every team: the memo, the per-row flat table, the
+    restriction and supplement tables and the rows' ``Assignment``
+    objects are shared by all teams of the structure.  Without it each
+    team gets a fresh evaluator and is evaluated exactly as by
+    ``eval_team(..., memo=False)``.
+    """
+
+    def __init__(self, structure: Structure, phi: S.Formula, budget, stats, memo: bool):
+        prepared = _prepared(phi, "team")
+        check_symbols(prepared.preds, prepared.funcs, structure)
+        self.phi = phi
+        self.variables = tuple(sorted(prepared.fr[id(phi)]))
+        self.values = list(
+            itertools.product(range(structure.domain_size), repeat=len(self.variables))
+        )
+        self.count = 1 << len(self.values)
+        self._args = (structure, prepared, budget, stats or EvalStats(), True, memo)
+        self._shared = self._evaluator() if memo else None
+
+    def _evaluator(self) -> tuple[_TeamEvaluator, _Frame]:
+        ev = _TeamEvaluator(*self._args)
+        frame = ev.frame(self.variables)
+        for values in self.values:
+            frame.bit(values)
+        return ev, frame
+
+    def holds(self, mask: int) -> bool:
+        """Decide (A, T) |= phi for the team numbered mask."""
+        ev, frame = self._shared or self._evaluator()
+        return ev.eval(frame, mask, self.phi)
+
+    def team(self, mask: int) -> Team:
+        return Team.from_tuples(self.variables, [self.values[i] for i in _indices(mask)])
 
 
 def eval_hook(

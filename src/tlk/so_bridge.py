@@ -204,13 +204,16 @@ def parse_so_assignment(text: str) -> SOAssignment:
 def to_nnf(phi: S.Formula) -> S.Formula:
     """Desugar ->/<-> and push negations down to atoms.
 
-    Raises ``syntax.NestingTooDeep`` (a ``ValueError``) when phi is
-    nested deeper than ``syntax.MAX_DEPTH``.
+    The two sides of a <-> are rewritten once per polarity and shared
+    between the two halves of its NNF, so nested <-> give a DAG of linear
+    size, not a tree that doubles with each level.  Raises
+    ``syntax.NestingTooDeep`` (a ``ValueError``) when phi is nested
+    deeper than ``syntax.MAX_DEPTH``.
     """
-    return _nnf(phi, True, 0)
+    return _nnf(phi, True, 0, {})
 
 
-def _nnf(phi: S.Formula, positive: bool, depth: int) -> S.Formula:
+def _nnf(phi: S.Formula, positive: bool, depth: int, sides: dict) -> S.Formula:
     # depth counts the calls above this one, two for each <-> (whose NNF
     # is two levels deep), so both this recursion and the NNF, which
     # eval_so walks recursively, are at most about MAX_DEPTH deep
@@ -220,7 +223,7 @@ def _nnf(phi: S.Formula, positive: bool, depth: int) -> S.Formula:
     dual = S.DUALS.get(type(phi))
     if dual is not None:  # under a negation a connective or quantifier turns into its dual
         return S.map_children(
-            phi, lambda c: _nnf(c, positive, depth), type(phi) if positive else dual
+            phi, lambda c: _nnf(c, positive, depth, sides), type(phi) if positive else dual
         )
     if isinstance(phi, (S.Pred, S.Eq, S.RelApp)):
         return phi if positive else S.Not(phi)
@@ -229,23 +232,28 @@ def _nnf(phi: S.Formula, positive: bool, depth: int) -> S.Formula:
     if isinstance(phi, S.Bot):
         return S.BOT if positive else S.TOP
     if isinstance(phi, S.Not):
-        return _nnf(phi.body, not positive, depth)
+        return _nnf(phi.body, not positive, depth, sides)
     if isinstance(phi, S.Implies):
         if positive:
-            return S.Or(_nnf(phi.left, False, depth), _nnf(phi.right, True, depth))
-        return S.And(_nnf(phi.left, True, depth), _nnf(phi.right, False, depth))
+            return S.Or(_nnf(phi.left, False, depth, sides), _nnf(phi.right, True, depth, sides))
+        return S.And(_nnf(phi.left, True, depth, sides), _nnf(phi.right, False, depth, sides))
     if isinstance(phi, S.Iff):
         depth += 1
+
+        def side(c: S.Formula, polarity: bool) -> S.Formula:
+            # the other polarity of this <-> (reached from its parent)
+            # asks for the same four; depth is in the key so that a node
+            # shared at two depths is still checked at each
+            key = (id(c), polarity, depth)
+            out = sides.get(key)
+            if out is None:
+                out = sides[key] = _nnf(c, polarity, depth, sides)
+            return out
+
         a, b = phi.left, phi.right
         if positive:
-            return S.And(
-                S.Or(_nnf(a, False, depth), _nnf(b, True, depth)),
-                S.Or(_nnf(b, False, depth), _nnf(a, True, depth)),
-            )
-        return S.Or(
-            S.And(_nnf(a, True, depth), _nnf(b, False, depth)),
-            S.And(_nnf(b, True, depth), _nnf(a, False, depth)),
-        )
+            return S.And(S.Or(side(a, False), side(b, True)), S.Or(side(b, False), side(a, True)))
+        return S.Or(S.And(side(a, True), side(b, False)), S.And(side(b, True), side(a, False)))
     raise ValueError(f"not a second-order formula: {S.format_formula(phi)}")
 
 

@@ -6,6 +6,15 @@ variables, smallest domains first.  A hit is re-verified with the
 evaluator before it is reported; exhausting the space yields an
 up-to-the-bound unsatisfiability verdict, never an absolute one.
 
+Each structure is one evaluation session (``evaluator._StructureTeams``):
+its teams are the masks 0 .. 2^(n^k) - 1 over the n^k value tuples of
+the k free variables, and one evaluator answers all of them, so the
+memo, the per-row table of first-order subformulas and the team
+operations' tables are shared by the teams of the structure.  A ``Team``
+is built only for a witness.  ``memo=False`` shares nothing: each team
+is evaluated as ``eval_team(..., memo=False)`` would, with the same
+steps and counts.
+
 ``sat_fo2`` is the specialised two-variable route: expand into normal
 form, turn each disjunct into its classical transfer sentence gamma,
 and search for a classical model of gamma instead of a team - the
@@ -20,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import syntax as S
-from .evaluator import Budget, BudgetExceeded, EvalStats, eval_fo, eval_team
+from .evaluator import Budget, BudgetExceeded, EvalStats, _StructureTeams, eval_fo, eval_team
 from .normal_form import Disjunct, build_gamma, dnf_expand
 from .structures import Assignment, EMPTY_ASSIGNMENT, Structure, Team
 from .syntax import Vocabulary
@@ -103,38 +112,34 @@ def _structures(vocab: Vocabulary, n: int, budget: Budget | None):
         )
 
 
-def _teams(variables: tuple[str, ...], n: int, budget: Budget | None):
-    """All teams over the variables, the empty team first."""
-    rows = [
-        Assignment(tuple(zip(variables, values)))
-        for values in itertools.product(range(n), repeat=len(variables))
-    ]
-    for mask in range(2 ** len(rows)):
-        if budget is not None:
-            budget.charge()
-        yield Team(variables, frozenset(r for i, r in enumerate(rows) if mask >> i & 1))
-
-
 def sat_bounded(
     phi: S.Formula,
     vocab: Vocabulary,
     max_domain: int = 3,
     budget: Budget | None = None,
     stats: EvalStats | None = None,
+    *,
+    memo: bool = True,
 ) -> Satisfiable | UnsatUpTo | ResourceExhausted:
     """Search for (A, T) |= phi with |A| <= max_domain.
 
-    Witnesses are re-verified with an independent evaluator call before
-    being returned.
+    With ``memo`` the teams of a structure share one memo, so a
+    subformula's verdict on a subteam is computed once per structure;
+    ``memo=False`` evaluates each pair as ``eval_team(..., memo=False)``
+    would.  The budget is charged one step per structure and one per
+    team before it is evaluated.  Witnesses are re-verified with an
+    independent evaluator call before being returned.
     """
     _require_searchable(phi, vocab)
-    variables = tuple(sorted(S.free_vars(phi)))
     try:
         for n in range(1, max_domain + 1):
             for structure in _structures(vocab, n, budget):
-                for team in _teams(variables, n, budget):
-                    if eval_team(structure, team, phi, budget, stats=stats):
-                        return _verified(structure, team, phi)
+                teams = _StructureTeams(structure, phi, budget, stats, memo)
+                for mask in range(teams.count):
+                    if budget is not None:
+                        budget.charge()
+                    if teams.holds(mask):
+                        return _verified(structure, teams.team(mask), phi)
     except BudgetExceeded as exc:
         return ResourceExhausted(str(exc))
     return UnsatUpTo(max_domain)
@@ -146,9 +151,11 @@ def valid_bounded(
     max_domain: int = 3,
     budget: Budget | None = None,
     stats: EvalStats | None = None,
+    *,
+    memo: bool = True,
 ) -> ValidUpTo | Counterexample | ResourceExhausted:
     """Search for a counterexample pair (A, T) with (A, T) |=/= phi."""
-    outcome = sat_bounded(S.BoolNot(phi), vocab, max_domain, budget, stats)
+    outcome = sat_bounded(S.BoolNot(phi), vocab, max_domain, budget, stats, memo=memo)
     if isinstance(outcome, Satisfiable):
         return Counterexample(outcome.structure, outcome.team)
     if isinstance(outcome, UnsatUpTo):

@@ -5,14 +5,19 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_teams,
     random_fo_formula,
     random_kripke,
     random_mtl_formula,
@@ -634,3 +639,146 @@ def test_verdicts_steps_and_counts_on_a_seeded_corpus():
         ("mtl", True): (68, 82, 0, 407, 323, 14, 0),
         ("mtl", False): (68, 82, 0, 442, 358, 14, 0),
     }
+
+
+# ---------------------------------------------------------------------------
+# Row order, the per-row flat table and the bounded search's session
+
+
+_COUNT_EVAL_FO_CALLS = """
+import random, sys
+sys.path.insert(0, sys.argv[1])
+import tlk.evaluator as E
+from helpers import random_structure, random_team, random_team_formula
+calls = 0
+real = E.eval_fo
+def counting(*args):
+    global calls
+    calls += 1
+    return real(*args)
+E.eval_fo = counting
+rng = random.Random(3)
+for _ in range(200):
+    n = rng.randint(1, 3)
+    A = random_structure(rng, n)
+    T = random_team(rng, n, ("x", "y"), 6)
+    E.eval_team(A, T, random_team_formula(rng, rng.randint(1, 4), ("x", "y")))
+print(calls)
+"""
+
+
+def test_rows_are_checked_in_an_order_independent_of_the_hash_seed():
+    # a flat check stops at the first false row, so the number of eval_fo
+    # calls shows the order in which a team's rows were numbered
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": str(Path(E.__file__).parents[1])}
+    counts = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_EVAL_FO_CALLS, str(tests)],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts.add(int(proc.stdout))
+    assert len(counts) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_the_flat_row_table_checks_each_row_once(seed):
+    # one evaluator with memo answers a flat formula on every subteam of
+    # a team, in random order, checking each row at most once
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    A = random_structure(rng, n)
+    alpha = random_fo_formula(rng, rng.randint(1, 4), XY)
+    T = random_team(rng, n, XY, 9)
+    checked = []
+
+    def counting(structure, s, phi):
+        if phi is alpha:
+            checked.append(s)
+        return eval_fo(structure, s, phi)
+
+    ev = E._TeamEvaluator(A, E._Prepared(alpha, "team"), None, EvalStats(), True, True)
+    frame = ev.frame(XY)
+    subteams = list(range(frame.pack(T) + 1))
+    rng.shuffle(subteams)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(E, "eval_fo", counting)
+        verdicts = [ev._holds_on_rows(frame, mask, alpha) for mask in subteams]
+    for mask, verdict in zip(subteams, verdicts):
+        assert verdict is all(eval_fo(A, s, alpha) for s in frame.rows(mask))
+    assert len(checked) == len(set(checked)) <= len(T)
+
+
+def _session_against_eval_team(A, phi, memo):
+    """Answer every team with one _StructureTeams and with one eval_team
+    call per team; compare verdicts, teams, work and eval_fo calls."""
+    variables = tuple(sorted(S.free_vars(phi)))
+    calls = {"session": 0, "loop": 0}
+    side = "session"
+
+    def counting(*args):
+        calls[side] += 1
+        return eval_fo(*args)
+
+    session_budget, session_stats = Budget(), EvalStats()
+    loop_budget, loop_stats = Budget(), EvalStats()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(E, "eval_fo", counting)
+        session = E._StructureTeams(A, phi, session_budget, session_stats, memo)
+        assert session.variables == variables
+        for mask, T in enumerate(all_teams(A.domain_size, variables)):
+            assert session.team(mask) == T
+            side = "loop"
+            want = eval_team(A, T, phi, loop_budget, stats=loop_stats, memo=memo)
+            side = "session"
+            assert session.holds(mask) is want
+    if memo:
+        assert session_budget.used <= loop_budget.used
+        assert session_stats.nodes <= loop_stats.nodes
+    else:
+        # nothing is shared: the same rows are checked in the same order
+        assert (session_budget.used, session_stats) == (loop_budget.used, loop_stats)
+        assert calls["session"] == calls["loop"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_one_session_answers_every_team_of_a_structure_as_eval_team(seed, memo):
+    rng = random.Random(seed)
+    A = random_structure(rng, rng.randint(1, 2))
+    _session_against_eval_team(A, random_team_formula(rng, rng.randint(1, 5), XY), memo)
+
+
+def test_without_memo_a_session_shares_no_row_numbering_between_teams():
+    # P(y) is first reached on the team {(1,0)}, so a frame shared across
+    # teams would number y = 0 first and, on {(0,1), (1,0)}, check the
+    # false y = 0 row before the true y = 1 row that eval_team checks first
+    A = _structure(P=(1,))
+    for memo in (False, True):
+        _session_against_eval_team(A, parse("(NE P(x)) & P(y)", "team"), memo)
+
+
+def test_deep_formulas_raise_a_tlk_error_not_a_recursion_error():
+    chain = " & ".join(["P(x)"] * 1500)
+    A, T = _structure(), Team.from_tuples(("x",), [(0,), (1,)])
+    with pytest.raises(S.NestingTooDeep, match="^formula nested too deeply$"):
+        eval_team(A, T, parse(chain, "team"))
+    K = KripkeStructure(1, frozenset(), {"p": frozenset({0})})
+    with pytest.raises(S.NestingTooDeep, match="^formula nested too deeply$"):
+        eval_mtl(K, {0}, parse(" & ".join(["p"] * 1500), "mtl"))
+    # MAX_TEAM_DEPTH levels are still evaluated, also where every level
+    # recurses through the team clauses
+    deepest = parse("P(x)", "team")
+    for _ in range(E.MAX_TEAM_DEPTH - 1):
+        deepest = S.BoolNot(deepest)
+    assert S.check_language(deepest, "team") == E.MAX_TEAM_DEPTH
+    # P(x) fails on T, and every ~ flips the verdict
+    assert eval_team(A, T, deepest) is (E.MAX_TEAM_DEPTH % 2 == 0)
+    with pytest.raises(S.NestingTooDeep):
+        eval_team(A, T, S.BoolNot(deepest))

@@ -184,6 +184,39 @@ def test_to_nnf_preserves_so_truth():
         assert eval_so(A, J, to_nnf(phi)) is eval_so(A, J, phi)
 
 
+def _distinct_nodes(phi):
+    seen, stack = set(), [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(S.children(node))
+    return len(seen)
+
+
+def test_to_nnf_of_nested_iffs_is_a_dag_of_linear_size():
+    # each <-> reads both its sides at both polarities, so as a tree the
+    # NNF of 15 nested <-> would have over 4^15 nodes
+    A = Structure(
+        3, {"P": frozenset({(0,), (1,)}), "Q": frozenset({(1,)})}, arities={"P": 1, "Q": 1}
+    )
+    text = "P(x)"
+    for i in range(15):
+        text = f"({'Q' if i % 2 else 'P'}(x) <-> {text})"
+    for quantifier, expected in (("A", all), ("E", any)):
+        phi = parse(f"{quantifier} x. {text}", "so")
+        assert _distinct_nodes(to_nnf(phi)) <= 10 * 16
+        verdicts = []
+        for a in range(3):
+            p, q = a in (0, 1), a == 1
+            value = p
+            for i in range(15):
+                value = (q if i % 2 else p) == value
+            verdicts.append(value)
+        assert eval_so(A, EMPTY_SO_ASSIGNMENT, phi) is expected(verdicts)
+        assert eval_so(A, EMPTY_SO_ASSIGNMENT, phi, memo=False) is expected(verdicts)
+
+
 # ---------------------------------------------------------------------------
 # The SO evaluator
 
