@@ -479,7 +479,7 @@ def main(argv=None) -> int:
         print(f"tlk: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (RecursionError, S.NestingTooDeep):
-        # the parser, printer and evaluators recurse once per nesting level
+        # the printer and the syntax passes recurse once per nesting level
         print("tlk: formula nested too deeply", file=sys.stderr)
         return EXIT_RESOURCE
     except (ParseError, ValueError, KeyError) as exc:

@@ -157,11 +157,7 @@ def check_symbols(preds, funcs, structure: Structure) -> None:
                 )
 
 
-# The team and modal evaluators recurse about twice per nesting level
-# (``eval`` and ``_eval_inner``; ``eval_fo`` at most twice), where the
-# second-order passes that ``syntax.MAX_DEPTH`` bounds recurse three
-# times, so they accept formulas half as deep again.
-MAX_TEAM_DEPTH = 3 * S.MAX_DEPTH // 2
+MAX_TEAM_DEPTH = S.MAX_TEAM_DEPTH
 
 
 class _Prepared:
@@ -625,18 +621,28 @@ class _StructureTeams:
         )
         self.count = 1 << len(self.values)
         self._args = (structure, prepared, budget, stats or EvalStats(), True, memo)
-        self._shared = self._evaluator() if memo else None
+        self._shared = self._evaluator(self.count - 1) if memo else None
 
-    def _evaluator(self) -> tuple[_TeamEvaluator, _Frame]:
+    def _evaluator(self, mask: int) -> tuple[_TeamEvaluator, _Frame, int]:
+        """A fresh evaluator whose root frame numbers the value tuples of
+        the team mask in product order, which is ``Team.sorted_rows``
+        order, and the team's mask in that frame."""
         ev = _TeamEvaluator(*self._args)
         frame = ev.frame(self.variables)
-        for values in self.values:
-            frame.bit(values)
-        return ev, frame
+        packed = 0
+        for i in _indices(mask):
+            packed |= frame.bit(self.values[i])
+        return ev, frame, packed
 
     def holds(self, mask: int) -> bool:
         """Decide (A, T) |= phi for the team numbered mask."""
-        ev, frame = self._shared or self._evaluator()
+        if self._shared is None:
+            # numbered as eval_team numbers it: only the team's rows, so
+            # a frame that a quantifier extends back onto the root
+            # variables meets its new rows after the team's
+            ev, frame, packed = self._evaluator(mask)
+            return ev.eval(frame, packed, self.phi)
+        ev, frame, _ = self._shared
         return ev.eval(frame, mask, self.phi)
 
     def team(self, mask: int) -> Team:

@@ -624,7 +624,7 @@ class _SOEvaluator:
         if not sparse:
             return _pool(2**size, _all_relations, n, phi.arity)
         count = sum(math.comb(size, c) for c in range(cap + 1))
-        return _pool(count, _sparse_relations, n, phi.arity, cap)
+        return _pool(count, _bounded_relations, n, phi.arity, frozenset(), None, cap)
 
     def _bounds(self, J, phi, guards, mode, switches):
         """The tuples the relation bound by phi must hold (lower) and may
@@ -699,14 +699,6 @@ def _all_relations(n: int, arity: int):
         yield RelValue(
             arity, frozenset(t for i, t in enumerate(universe) if mask >> i & 1)
         )
-
-
-def _sparse_relations(n: int, arity: int, cap: int):
-    """Relations of cardinality at most cap, smallest cardinality first."""
-    universe = _tuple_universe(n, arity)
-    for card in range(min(cap, len(universe)) + 1):
-        for combo in itertools.combinations(universe, card):
-            yield RelValue(arity, frozenset(combo))
 
 
 def _bounded_relations(n: int, arity: int, lower: set, upper: set | None, cap: int):

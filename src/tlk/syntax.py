@@ -11,20 +11,29 @@ Four surface languages share one node pool:
 
 The surface grammar (whitespace-insensitive)::
 
-    formula := '~' formula | '!' formula | quant | binop
-    quant   := ('E'|'A') ident '.' formula
-    binop   := atom { ('&' | '|' | '\\/') atom }     # & > | > \\/
+    formula := prefix* atom { binary atom }
+    prefix  := '~' | '!' | ('E'|'A') ident '.'
+    binary  := '\\/' | '|' | '&'              # loosest first
     atom    := ident '(' term {',' term} ')' | term '=' term
              | 'NE' atom | '(' formula ')' | 'top' | 'bot'
 
 MTL adds ``<>``/``[]`` prefixes and bare proposition identifiers; SO adds
 ``E2 X:k. f`` / ``A2 X:k. f`` relation quantifiers, ``Ef f:k. f`` /
 ``Af f:k. f`` function quantifiers, sparse forms ``Ep[poly:1,2] X:k. f``
-and ``Ap[scaled:4,2] X:k. f``, and the connectives ``->`` (right
-associative) and ``<->``.  Prefix operators take maximal scope; the
-printer inserts parentheses accordingly.  ``a \\/ b`` abbreviates
-``~(~a & ~b)`` and ``NE b`` abbreviates ``~!b``; both are expanded at
-parse time and recognised again when printing.
+and ``Ap[scaled:4,2] X:k. f``, and the connectives ``<->`` and ``->``,
+which bind more loosely than ``\\/``.  ``->`` is right associative, the
+other binary operators left associative.  Prefix operators take maximal
+scope; the printer inserts parentheses accordingly.  ``a \\/ b``
+abbreviates ``~(~a & ~b)`` and ``NE b`` abbreviates ``~!b``; both are
+expanded at parse time and recognised again when printing.  One table,
+``_OPERATORS``, gives each operator's symbol, node, binding level,
+associativity and the languages that reject it; the parser and the
+printer both read it.
+
+The parser reads runs of prefix operators and chains of binary
+operators in loops; text nested more than ``MAX_TEAM_DEPTH`` levels
+deep, counting parentheses and function applications, raises
+``NestingTooDeep``.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import re
 import shlex
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +347,6 @@ _DUAL_PAIRS = (
     (ExistsRelSparse, ForallRelSparse),
 )
 DUALS = {**dict(_DUAL_PAIRS), **{b: a for a, b in _DUAL_PAIRS}}
-
-# Surface keywords of the second-order quantifiers, shared by parser and printer.
-_SO_KEYWORDS = {
-    "E2": ExistsRel,
-    "A2": ForallRel,
-    "Ef": ExistsFun,
-    "Af": ForallFun,
-    "Ep": ExistsRelSparse,
-    "Ap": ForallRelSparse,
-}
-_SO_KEYWORD_OF = {cls: keyword for keyword, cls in _SO_KEYWORDS.items()}
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
@@ -839,9 +838,17 @@ _CHECKED_LANGUAGES = ("fo", "team", "mtl", "so")
 # NestingTooDeep.
 MAX_DEPTH = 200
 
+# The team and modal evaluators recurse about twice per nesting level
+# (``eval`` and ``_eval_inner``; ``eval_fo`` at most twice), where the
+# second-order passes that MAX_DEPTH bounds recurse three times, so they
+# accept formulas half as deep again.  The parser accepts text nested
+# as deep.
+MAX_TEAM_DEPTH = 3 * MAX_DEPTH // 2
+
 
 class NestingTooDeep(ValueError):
-    """A formula nested deeper than ``MAX_DEPTH`` levels."""
+    """A formula nested deeper than a pass accepts (``MAX_DEPTH`` or
+    ``MAX_TEAM_DEPTH`` levels)."""
 
     def __init__(self):
         super().__init__("formula nested too deeply")
@@ -924,15 +931,17 @@ def as_ovee(phi: Formula) -> tuple[Formula, Formula] | None:
 
 
 def ovee_all(items, empty: Formula | None = None) -> Formula:
+    """Boolean disjunction as a balanced tree, so that its height grows
+    with the logarithm of the number of items."""
     items = list(items)
     if not items:
         if empty is None:
             raise ValueError("empty Boolean disjunction")
         return empty
-    out = items[0]
-    for it in items[1:]:
-        out = mk_ovee(out, it)
-    return out
+    if len(items) == 1:
+        return items[0]
+    half = len(items) // 2
+    return mk_ovee(ovee_all(items[:half]), ovee_all(items[half:]))
 
 
 def subst_pred_by_relvar(phi: Formula, pred: str, rel: str) -> Formula:
@@ -940,6 +949,65 @@ def subst_pred_by_relvar(phi: Formula, pred: str, rel: str) -> Formula:
     if isinstance(phi, Pred) and phi.name == pred:
         return RelApp(rel, phi.args)
     return map_children(phi, lambda c: subst_pred_by_relvar(c, pred, rel))
+
+
+# ---------------------------------------------------------------------------
+# Operators
+
+
+class _Op(NamedTuple):
+    """A surface operator, as the parser and the printer both read it.
+
+    ``level`` is a binary operator's binding strength (1 binds
+    loosest); prefix operators and quantifiers take maximal scope
+    (``_PREFIX``) and ``NE`` takes an atom (``_ATOM``).  ``make`` builds
+    the node from a quantifier's binder fields, if any, and the
+    operands.  The languages in ``rejected`` refuse the operator with
+    ``message``.
+    """
+
+    symbol: str
+    make: Callable[..., Formula]
+    level: int
+    right: bool = False  # right associative
+    rejected: tuple[str, ...] = ()
+    message: str = ""
+
+
+_PREFIX = 0
+_ATOM = 100
+_NOT_TEAM = ("fo", "so")
+_NOT_MTL = ("fo", "team", "so")
+_NOT_SO = ("fo", "team", "mtl")
+
+_OPERATORS = (
+    _Op("<->", Iff, 1, rejected=_NOT_SO, message="'<->' is second-order sugar"),
+    _Op("->", Implies, 2, right=True, rejected=_NOT_SO, message="'->' is second-order sugar"),
+    _Op("\\/", mk_ovee, 3, rejected=_NOT_TEAM, message="'\\/' is team-logic sugar"),
+    _Op("|", Or, 4),
+    _Op("&", And, 5),
+    _Op("~", BoolNot, _PREFIX, rejected=_NOT_TEAM,
+        message="Boolean negation '~' is not allowed here"),
+    _Op("!", Not, _PREFIX),
+    _Op("<>", Diamond, _PREFIX, rejected=_NOT_MTL, message="'<>' is modal syntax"),
+    _Op("[]", Box, _PREFIX, rejected=_NOT_MTL, message="'[]' is modal syntax"),
+    _Op("E", Exists, _PREFIX, rejected=("mtl",), message="quantifiers are not modal syntax"),
+    _Op("A", Forall, _PREFIX, rejected=("mtl",), message="quantifiers are not modal syntax"),
+    *(
+        _Op(keyword, cls, _PREFIX, rejected=_NOT_SO, message=f"'{keyword}' is second-order syntax")
+        for keyword, cls in (
+            ("E2", ExistsRel), ("A2", ForallRel), ("Ef", ExistsFun),
+            ("Af", ForallFun), ("Ep", ExistsRelSparse), ("Ap", ForallRelSparse),
+        )
+    ),
+    _Op("NE", mk_e, _ATOM, rejected=_NOT_TEAM, message="'NE' is team-logic sugar"),
+)
+_OP_BY_SYMBOL = {op.symbol: op for op in _OPERATORS}
+_OP_BY_MAKE = {op.make: op for op in _OPERATORS}
+_BINARY_OPS = {op.symbol: op for op in _OPERATORS if _PREFIX < op.level < _ATOM}
+
+# A flat body (first-order, or classical modal) keeps these flat.
+_KEEPS_FLAT = (Exists, Forall, Diamond, Box)
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +1033,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_RESERVED = {"E", "A", "NE", "top", "bot", *_SO_KEYWORDS}
+_RESERVED = {"top", "bot", *(op.symbol for op in _OPERATORS if op.symbol.isidentifier())}
 
 
 def _tokenize(text: str):
@@ -994,13 +1062,20 @@ def _tokenize(text: str):
 # ---------------------------------------------------------------------------
 # Parser
 
+# Inference mode resolves dependency atoms against the builtin families.
+_BUILTIN_DEPENDENCIES = DependencyRegistry()
+
 
 class _Parser:
+    """Recursive descent that recurses, two frames at a time, only into
+    parentheses and function applications."""
+
     def __init__(self, text: str, language: str, vocab: Vocabulary | None):
         if language not in _CHECKED_LANGUAGES:
             raise ValueError(f"unknown language {language!r}")
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open parentheses and function applications
         self.language = language
         self.vocab = vocab
         # arity records for inference mode and for free relation variables
@@ -1041,10 +1116,6 @@ class _Parser:
             raise ParseError(f"expected number, found {val or 'end of input'!r}", line, col)
         return int(val)
 
-    def fail(self, message: str):
-        _, _, line, col = self.peek()
-        raise ParseError(message, line, col)
-
     # -- grammar
 
     def parse(self) -> Formula:
@@ -1055,70 +1126,83 @@ class _Parser:
         return phi
 
     def formula(self) -> Formula:
-        kind, val, line, col = self.peek()
-        if kind == "sym" and val == "~":
-            if self.language in ("fo", "so"):
-                raise ParseError("Boolean negation '~' is not allowed here", line, col)
-            self.next()
-            return BoolNot(self.formula())
-        if kind == "sym" and val == "!":
-            self.next()
-            body = self.formula()
-            self._check_flat_negation(body, line, col)
-            return Not(body)
-        if kind == "sym" and val == "<>":
-            self._require_mtl(line, col, "'<>'")
-            self.next()
-            return Diamond(self.formula())
-        if kind == "sym" and val == "[]":
-            self._require_mtl(line, col, "'[]'")
-            self.next()
-            return Box(self.formula())
-        if kind == "ident" and val in ("E", "A"):
-            if self.language == "mtl":
-                raise ParseError("quantifiers are not modal syntax", line, col)
-            self.next()
+        """Prefix operators, then atoms joined by binary operators,
+        which an operator stack combines by level and associativity."""
+        prefixes = self._prefixes(_PREFIX)
+        operands = [self.atom()]
+        pending: list[_Op] = []
+        while True:
+            op = _BINARY_OPS.get(self.peek()[1])
+            level = _PREFIX if op is None else op.level  # the end combines all
+            while pending and (
+                pending[-1].level > level or (pending[-1].level == level and not op.right)
+            ):
+                right = operands.pop()
+                operands[-1] = pending.pop().make(operands[-1], right)
+            if op is None:
+                return self._apply(prefixes, operands[0]) if prefixes else operands[0]
+            self._accept(op)
+            pending.append(op)
+            operands.append(self.atom())
+
+    def _accept(self, op: _Op) -> None:
+        _, _, line, col = self.next()
+        if self.language in op.rejected:
+            raise ParseError(op.message, line, col)
+
+    def _prefixes(self, level: int) -> list:
+        """Read a run of operators of the level (prefixes and
+        quantifiers, or NE), each with its binder fields and position."""
+        run = []
+        while True:
+            _, val, line, col = self.peek()
+            op = _OP_BY_SYMBOL.get(val)
+            if op is None or op.level != level:
+                return run
+            self._accept(op)
+            run.append((op, self._binder(op), line, col))
+
+    def _binder(self, op: _Op) -> tuple:
+        """The fields a quantifier reads before its body (none for other
+        operators); a relation or function variable enters its scope."""
+        if op.make in _FO_QUANT:
             var, _, _ = self.expect_ident()
             self.expect_sym(".")
-            body = self.formula()
-            return Exists(var, body) if val == "E" else Forall(var, body)
-        if kind == "ident" and val in _SO_KEYWORDS:
-            if self.language != "so":
-                raise ParseError(f"{val!r} is second-order syntax", line, col)
-            return self._so_quantifier(val)
-        return self.iff()
+            return (var,)
+        if op.make not in _SO_QUANT:
+            return ()
+        bound = ()
+        if op.make in _SPARSE_QUANT:
+            self.expect_sym("[")
+            bound = (self._sparse_bound(),)
+            self.expect_sym("]")
+        name, _, _ = self.expect_ident()
+        self.expect_sym(":")
+        arity = self.expect_int()
+        self.expect_sym(".")
+        self._scope(op).append((name, arity))
+        return (name, arity, *bound)
 
-    def _require_mtl(self, line, col, what):
-        if self.language != "mtl":
-            raise ParseError(f"{what} is modal syntax", line, col)
+    def _scope(self, op: _Op) -> list[tuple[str, int]]:
+        return self.funvar_scope if op.make in (ExistsFun, ForallFun) else self.relvar_scope
+
+    def _apply(self, run: list, body: Formula) -> Formula:
+        """Wrap body in a run of prefix operators, innermost first."""
+        flat = False  # body is known to be flat, so a '!' over it needs no check
+        for op, binder, line, col in reversed(run):
+            if op.make in (Not, mk_e) and not flat:
+                self._check_flat_negation(body, line, col)
+            if op.make in _SO_QUANT:
+                self._scope(op).pop()
+            body = op.make(*binder, body)
+            flat = op.make is Not or (flat and op.make in _KEEPS_FLAT)
+        return body
 
     def _check_flat_negation(self, body: Formula, line: int, col: int):
         if self.language == "team" and not is_fo(body):
             raise ParseError("'!' may only negate first-order formulas here", line, col)
         if self.language == "mtl" and not is_ml(body):
             raise ParseError("'!' may only negate classical modal formulas here", line, col)
-
-    def _so_quantifier(self, keyword: str) -> Formula:
-        self.next()
-        cls = _SO_KEYWORDS[keyword]
-        bound = None
-        if cls in _SPARSE_QUANT:
-            self.expect_sym("[")
-            bound = self._sparse_bound()
-            self.expect_sym("]")
-        name, line, col = self.expect_ident()
-        self.expect_sym(":")
-        arity = self.expect_int()
-        self.expect_sym(".")
-        scope = self.funvar_scope if cls in (ExistsFun, ForallFun) else self.relvar_scope
-        scope.append((name, arity))
-        try:
-            body = self.formula()
-        finally:
-            scope.pop()
-        if bound is not None:
-            return cls(name, arity, bound, body)
-        return cls(name, arity, body)
 
     def _sparse_bound(self) -> SparseBound:
         kword, line, col = self.expect_ident()
@@ -1132,88 +1216,41 @@ class _Parser:
         except ValueError as exc:
             raise ParseError(str(exc), line, col) from None
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        while self.at_sym("<->"):
-            _, _, line, col = self.next()
-            if self.language != "so":
-                raise ParseError("'<->' is second-order sugar", line, col)
-            left = Iff(left, self.implies())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.ovee()
-        if self.at_sym("->"):
-            _, _, line, col = self.next()
-            if self.language != "so":
-                raise ParseError("'->' is second-order sugar", line, col)
-            return Implies(left, self.implies())
-        return left
-
-    def ovee(self) -> Formula:
-        left = self.disj()
-        while self.at_sym("\\/"):
-            _, _, line, col = self.next()
-            if self.language in ("fo", "so"):
-                raise ParseError("'\\/' is team-logic sugar", line, col)
-            left = mk_ovee(left, self.disj())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.at_sym("|"):
-            self.next()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.atom()
-        while self.at_sym("&"):
-            self.next()
-            left = And(left, self.atom())
-        return left
-
     def atom(self) -> Formula:
-        kind, val, line, col = self.peek()
-        if kind == "sym" and val == "(":
+        run = self._prefixes(_ATOM)
+        if self.at_sym("("):
+            if self.depth == MAX_TEAM_DEPTH:
+                raise NestingTooDeep()
             self.next()
+            self.depth += 1
             phi = self.formula()
+            self.depth -= 1
             self.expect_sym(")")
-            return phi
-        if kind == "ident" and val == "NE":
-            if self.language in ("fo", "so"):
-                raise ParseError("'NE' is team-logic sugar", line, col)
-            self.next()
-            body = self.atom()
-            self._check_flat_negation(body, line, col)
-            return mk_e(body)
-        if kind == "ident" and val == "top":
-            self.next()
-            return TOP
-        if kind == "ident" and val == "bot":
-            self.next()
-            return BOT
-        if kind == "ident":
-            if val in _RESERVED:
-                raise ParseError(f"reserved word {val!r} cannot start an atom", line, col)
-            self.next()
-            if self.at_sym("("):
-                args = self._args()
-                if self.at_sym("="):
-                    lhs = self._function_term(val, args, line, col)
-                    self.next()
-                    rhs = self.term()
-                    return self._equality(lhs, rhs, line, col)
-                return self._applied_atom(val, args, line, col)
-            if self.at_sym("="):
-                lhs = self._simple_term(val, line, col)
-                self.next()
-                rhs = self.term()
-                return self._equality(lhs, rhs, line, col)
-            return self._bare_atom(val, line, col)
-        self.fail(f"expected a formula, found {val or 'end of input'!r}")
+        else:
+            phi = self._leaf()
+        return self._apply(run, phi) if run else phi
 
-    def _equality(self, lhs: Term, rhs: Term, line: int, col: int) -> Formula:
+    def _leaf(self) -> Formula:
+        kind, val, line, col = self.peek()
+        if kind == "ident" and val in ("top", "bot"):
+            self.next()
+            return TOP if val == "top" else BOT
+        if kind != "ident":
+            raise ParseError(f"expected a formula, found {val or 'end of input'!r}", line, col)
+        if val in _RESERVED:
+            raise ParseError(f"reserved word {val!r} cannot start an atom", line, col)
+        self.next()
+        if self.at_sym("("):
+            args = self._args()
+            if not self.at_sym("="):
+                return self._applied_atom(val, args, line, col)
+            lhs = self._function_term(val, args, line, col)
+        elif self.at_sym("="):
+            lhs = self._simple_term(val, line, col)
+        else:
+            return self._bare_atom(val, line, col)
+        self.next()
+        rhs = self.term()
         if self.vocab is not None and not self.vocab.equality_enabled:
             raise ParseError("equality is not in the vocabulary", line, col)
         return Eq(lhs, rhs)
@@ -1232,121 +1269,89 @@ class _Parser:
         if name in _RESERVED:
             raise ParseError(f"reserved word {name!r} cannot be a term", line, col)
         if self.at_sym("("):
+            if self.depth == MAX_TEAM_DEPTH:
+                raise NestingTooDeep()
+            self.depth += 1
             args = self._args()
+            self.depth -= 1
             return self._function_term(name, args, line, col)
         return self._simple_term(name, line, col)
 
     def _function_term(self, name: str, args: tuple, line: int, col: int) -> Term:
-        for fname, far in reversed(self.funvar_scope):
-            if fname == name:
-                if far != len(args):
-                    raise ParseError(
-                        f"function variable {name!r} has arity {far}, not {len(args)}",
-                        line, col,
-                    )
-                return Func(name, args)
-        if self.vocab is not None:
+        arity = dict(self.funvar_scope).get(name)  # the innermost binder wins
+        if arity is not None:
+            _check_arity("function variable", name, arity, args, line, col)
+        elif self.vocab is not None:
             if name in self.vocab.functions:
-                want = self.vocab.functions[name]
-                if want != len(args):
-                    raise ParseError(
-                        f"function {name!r} has arity {want}, not {len(args)}", line, col
-                    )
-                return Func(name, args)
-            if name in self.vocab.predicates:
+                _check_arity("function", name, self.vocab.functions[name], args, line, col)
+            elif name in self.vocab.predicates:
                 raise ParseError(f"predicate {name!r} used as a function", line, col)
-            raise ParseError(f"unknown function {name!r}", line, col)
-        seen = self.seen_funcs.setdefault(name, len(args))
-        if seen != len(args):
-            raise ParseError(
-                f"function {name!r} used with arities {seen} and {len(args)}", line, col
-            )
-        if self.seen_preds.get(name) is not None:
-            raise ParseError(f"name {name!r} used as both predicate and function", line, col)
+            else:
+                raise ParseError(f"unknown function {name!r}", line, col)
+        else:
+            _check_uses("function", self.seen_funcs, name, args, line, col)
+            if self.seen_preds.get(name) is not None:
+                raise ParseError(f"name {name!r} used as both predicate and function", line, col)
         return Func(name, args)
 
     def _simple_term(self, name: str, line: int, col: int) -> Term:
         if self.vocab is not None and name in self.vocab.functions:
-            if self.vocab.functions[name] != 0:
-                raise ParseError(
-                    f"function {name!r} has arity {self.vocab.functions[name]}, not 0",
-                    line, col,
-                )
+            _check_arity("function", name, self.vocab.functions[name], (), line, col)
             return Func(name, ())
         return Var(name)
 
     def _applied_atom(self, name: str, args: tuple, line: int, col: int) -> Formula:
-        for rname, rar in reversed(self.relvar_scope):
-            if rname == name:
-                if rar != len(args):
-                    raise ParseError(
-                        f"relation variable {name!r} has arity {rar}, not {len(args)}",
-                        line, col,
-                    )
-                return RelApp(name, args)
+        arity = dict(self.relvar_scope).get(name)
+        if arity is not None:
+            _check_arity("relation variable", name, arity, args, line, col)
+            return RelApp(name, args)
         if self.language == "mtl":
             raise ParseError("predicates cannot appear in modal formulas", line, col)
-        if self.vocab is not None:
-            if name in self.vocab.predicates:
-                want = self.vocab.predicates[name]
-                if want != len(args):
-                    raise ParseError(
-                        f"predicate {name!r} has arity {want}, not {len(args)}", line, col
-                    )
-                return Pred(name, args)
-            if self.language == "team" and self.vocab.dependencies.knows(name):
-                try:
-                    sig = self.vocab.dependencies.resolve(name, len(args))
-                except UnknownDependencyError as exc:
-                    raise ParseError(str(exc), line, col) from None
-                return DepAtom(sig, args)
-            if self.language == "so":
-                seen = self.free_relvars.setdefault(name, len(args))
-                if seen != len(args):
-                    raise ParseError(
-                        f"relation variable {name!r} used with arities "
-                        f"{seen} and {len(args)}", line, col,
-                    )
-                return RelApp(name, args)
-            if self.language == "team":
-                raise ParseError(f"unknown dependency or predicate {name!r}", line, col)
-            raise ParseError(f"unknown predicate {name!r}", line, col)
-        # inference mode
+        vocab = self.vocab
+        if vocab is not None and name in vocab.predicates:
+            _check_arity("predicate", name, vocab.predicates[name], args, line, col)
+            return Pred(name, args)
+        registry = _BUILTIN_DEPENDENCIES if vocab is None else vocab.dependencies
+        if self.language == "team" and registry.knows(name):
+            try:
+                return DepAtom(registry.resolve(name, len(args)), args)
+            except UnknownDependencyError as exc:
+                raise ParseError(str(exc), line, col) from None
+        if vocab is None:  # inference mode
+            _check_uses("predicate", self.seen_preds, name, args, line, col)
+            if name in self.seen_funcs:
+                raise ParseError(f"name {name!r} used as both predicate and function", line, col)
+            return Pred(name, args)
+        if self.language == "so":
+            _check_uses("relation variable", self.free_relvars, name, args, line, col)
+            return RelApp(name, args)
         if self.language == "team":
-            registry = DependencyRegistry()
-            if registry.knows(name):
-                try:
-                    sig = registry.resolve(name, len(args))
-                except UnknownDependencyError as exc:
-                    raise ParseError(str(exc), line, col) from None
-                return DepAtom(sig, args)
-        seen = self.seen_preds.setdefault(name, len(args))
-        if seen != len(args):
-            raise ParseError(
-                f"predicate {name!r} used with arities {seen} and {len(args)}", line, col
-            )
-        if name in self.seen_funcs:
-            raise ParseError(f"name {name!r} used as both predicate and function", line, col)
-        return Pred(name, args)
+            raise ParseError(f"unknown dependency or predicate {name!r}", line, col)
+        raise ParseError(f"unknown predicate {name!r}", line, col)
 
     def _bare_atom(self, name: str, line: int, col: int) -> Formula:
-        for rname, rar in reversed(self.relvar_scope):
-            if rname == name:
-                if rar != 0:
-                    raise ParseError(
-                        f"relation variable {name!r} has arity {rar}, not 0", line, col
-                    )
-                return RelApp(name, ())
+        arity = dict(self.relvar_scope).get(name)
+        if arity is not None:
+            _check_arity("relation variable", name, arity, (), line, col)
+            return RelApp(name, ())
         if self.language == "mtl":
             return Prop(name)
         if self.vocab is not None and name in self.vocab.predicates:
-            if self.vocab.predicates[name] != 0:
-                raise ParseError(
-                    f"predicate {name!r} has arity {self.vocab.predicates[name]}, not 0",
-                    line, col,
-                )
+            _check_arity("predicate", name, self.vocab.predicates[name], (), line, col)
             return Pred(name, ())
         raise ParseError(f"unknown symbol {name!r}", line, col)
+
+
+def _check_arity(kind: str, name: str, arity: int, args: tuple, line: int, col: int):
+    if arity != len(args):
+        raise ParseError(f"{kind} {name!r} has arity {arity}, not {len(args)}", line, col)
+
+
+def _check_uses(kind: str, seen: dict[str, int], name: str, args: tuple, line: int, col: int):
+    """Record the arity of name's first use; later uses must agree."""
+    first = seen.setdefault(name, len(args))
+    if first != len(args):
+        raise ParseError(f"{kind} {name!r} used with arities {first} and {len(args)}", line, col)
 
 
 def parse(text: str, language: str = "team", vocab: Vocabulary | None = None) -> Formula:
@@ -1355,7 +1360,9 @@ def parse(text: str, language: str = "team", vocab: Vocabulary | None = None) ->
     With ``vocab=None`` symbol arities are inferred from use; passing a
     vocabulary enables strict symbol and arity checking and is required
     to resolve custom dependency atoms, constants, and free second-order
-    relation variables.
+    relation variables.  Text nested more than ``MAX_TEAM_DEPTH``
+    levels deep, counting parentheses and function applications, raises
+    ``NestingTooDeep``.
     """
     return _Parser(text, language, vocab).parse()
 
@@ -1363,70 +1370,57 @@ def parse(text: str, language: str = "team", vocab: Vocabulary | None = None) ->
 # ---------------------------------------------------------------------------
 # Printer
 
-_LEVEL_IFF = 1
-_LEVEL_IMPLIES = 2
-_LEVEL_OVEE = 3
-_LEVEL_OR = 4
-_LEVEL_AND = 5
-_LEVEL_PREFIX = 0
-_LEVEL_ATOM = 100
 
-_BINOP_LEVELS = (_LEVEL_IFF, _LEVEL_IMPLIES, _LEVEL_OVEE, _LEVEL_OR, _LEVEL_AND)
-
-_PREFIX_SYMBOLS = {Not: "!", BoolNot: "~", Diamond: "<>", Box: "[]"}
-_BINOP_SYMBOLS = {
-    And: ("&", _LEVEL_AND),
-    Or: ("|", _LEVEL_OR),
-    Implies: ("->", _LEVEL_IMPLIES),  # the only right-associative operator
-    Iff: ("<->", _LEVEL_IFF),
-}
+def _surface(phi: Formula) -> tuple[_Op | None, tuple[Formula, ...]]:
+    """phi's outermost surface operator (None for an atom) and its operands."""
+    pair = as_ovee(phi)
+    if pair is not None:
+        return _OP_BY_MAKE[mk_ovee], pair
+    beta = as_e(phi)
+    if beta is not None:
+        return _OP_BY_MAKE[mk_e], (beta,)
+    op = _OP_BY_MAKE.get(type(phi))
+    return op, () if op is None else children(phi)
 
 
-def _surface_level(phi: Formula) -> int:
-    if as_ovee(phi) is not None:
-        return _LEVEL_OVEE
-    if as_e(phi) is not None:
-        return _LEVEL_ATOM
-    if isinstance(phi, _BINARY):
-        return _BINOP_SYMBOLS[type(phi)][1]
-    if isinstance(phi, (Pred, Eq, Top, Bot, Prop, RelApp, DepAtom)):
-        return _LEVEL_ATOM
-    return _LEVEL_PREFIX
-
-
-def _binop_child(child: Formula, level: int, tight: bool) -> str:
-    """Render a binop operand; tight=True for the side that must bind
-    strictly tighter (the right side of left-associative operators)."""
-    clevel = _surface_level(child)
-    text = format_formula(child)
-    if clevel < level or (tight and clevel == level):
-        return f"({text})"
-    return text
-
-
-def _prefix_body(body: Formula) -> str:
-    text = format_formula(body)
-    if _surface_level(body) in _BINOP_LEVELS:
-        return f"({text})"
-    return text
-
-
-def _atom_body(body: Formula) -> str:
-    """Render the operand of NE, which must be an atom."""
-    text = format_formula(body)
-    if _surface_level(body) != _LEVEL_ATOM:
-        return f"({text})"
-    return text
+def _binder(phi: Formula) -> str:
+    """What a quantifier prints between its keyword and its body."""
+    if isinstance(phi, _FO_QUANT):
+        return f" {phi.var}. "
+    if isinstance(phi, _SO_QUANT):
+        bound = f"[{phi.bound}]" if isinstance(phi, _SPARSE_QUANT) else ""
+        return f"{bound} {phi.name}:{phi.arity}. "
+    return ""
 
 
 def format_formula(phi: Formula) -> str:
     """Render a formula in surface syntax; parse round-trips it."""
-    pair = as_ovee(phi)
-    if pair is not None:
-        return f"{_binop_child(pair[0], _LEVEL_OVEE, False)} \\/ {_binop_child(pair[1], _LEVEL_OVEE, True)}"
-    beta = as_e(phi)
-    if beta is not None:
-        return f"NE {_atom_body(beta)}"
+    return _render(phi)[0]
+
+
+def _render(phi: Formula) -> tuple[str, int]:
+    """phi's surface text and the level of its outermost operator."""
+    op, operands = _surface(phi)
+    if op is None:
+        return _format_atom(phi), _ATOM
+    texts = []
+    for side, child in enumerate(operands):
+        text, level = _render(child)
+        if op.level == _ATOM:  # NE takes an atom
+            parens = level != _ATOM
+        elif op.level == _PREFIX:  # maximal scope: only a binary operator needs parentheses
+            parens = _PREFIX < level < _ATOM
+        else:  # the operand on the side op does not associate to binds strictly tighter
+            parens = level < op.level or (level == op.level and op.right != (side == 1))
+        texts.append(f"({text})" if parens else text)
+    if op.level == _ATOM:
+        return f"NE {texts[0]}", _ATOM
+    if op.level == _PREFIX:
+        return f"{op.symbol}{_binder(phi)}{texts[0]}", _PREFIX
+    return f"{texts[0]} {op.symbol} {texts[1]}", op.level
+
+
+def _format_atom(phi: Formula) -> str:
     if isinstance(phi, Pred) or isinstance(phi, RelApp):
         if not phi.args:
             return phi.name
@@ -1441,18 +1435,4 @@ def format_formula(phi: Formula) -> str:
         return "bot"
     if isinstance(phi, Prop):
         return phi.name
-    if isinstance(phi, _UNARY):
-        return f"{_PREFIX_SYMBOLS[type(phi)]}{_prefix_body(phi.body)}"
-    if isinstance(phi, _BINARY):
-        symbol, level = _BINOP_SYMBOLS[type(phi)]
-        right_assoc = isinstance(phi, Implies)
-        left = _binop_child(phi.left, level, right_assoc)
-        return f"{left} {symbol} {_binop_child(phi.right, level, not right_assoc)}"
-    if isinstance(phi, _FO_QUANT):
-        keyword = "E" if isinstance(phi, Exists) else "A"
-        return f"{keyword} {phi.var}. {_prefix_body(phi.body)}"
-    if isinstance(phi, _SO_QUANT):
-        bound = f"[{phi.bound}]" if isinstance(phi, _SPARSE_QUANT) else ""
-        keyword = _SO_KEYWORD_OF[type(phi)]
-        return f"{keyword}{bound} {phi.name}:{phi.arity}. {_prefix_body(phi.body)}"
     raise TypeError(f"not a formula: {phi!r}")

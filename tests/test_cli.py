@@ -336,6 +336,16 @@ def test_dnf_golden(capsys):
     assert json.loads(out) == {"disjuncts": 1, "formula": "top & NE (!!P(x))"}
 
 
+def test_dnf_prints_a_balanced_disjunction(capsys):
+    formula = "~((~P(x)) & (~Q(x)) & (~R(x,x)))"
+    code, out, _ = run(capsys, ["dnf", "--json", "--formula", formula])
+    assert code == EXIT_TRUE
+    assert json.loads(out) == {
+        "disjuncts": 4,
+        "formula": "top & NE (!(top & top & top)) \\/ (!!P(x)) \\/ ((!!Q(x)) \\/ (!!R(x,x)))",
+    }
+
+
 def test_dnf_size_budget_exit(capsys):
     base = "P(x) \\/ Q(x)"
     one = f"~((~({base})) & (~({base})))"

@@ -18,7 +18,7 @@ from tlk.normal_form import (
     reconstruct,
 )
 
-from tlk import Structure
+from tlk import Structure, Team
 
 from helpers import all_teams, random_structure, random_team_formula
 
@@ -63,6 +63,18 @@ def test_dnf_requires_a_disjunct():
     assert S.format_formula(reconstruct(one)) == "P(x)"
     two = DNF((Disjunct(_t("P(x)")), Disjunct(_t("Q(x)"), (_t("top"),))))
     assert S.format_formula(reconstruct(two)) == "P(x) \\/ Q(x) & NE top"
+
+
+def test_reconstruct_nests_logarithmically():
+    # 240 disjuncts: a left-nested disjunction of them was 730 levels
+    # deep, which eval_team refuses with NestingTooDeep
+    phi = _t("E x. ((~~P(x)) \\/ (~~P(x)))")
+    back = reconstruct(dnf_expand(phi))
+    assert S.check_language(back, "team") == 39
+    T = Team.from_tuples((), [()])
+    for P in ((), (0,)):
+        A = Structure(2, {"P": frozenset((v,) for v in P)}, arities={"P": 1})
+        assert eval_team(A, T, back) is eval_team(A, T, phi) is bool(P)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,62 @@ def test_check_language_returns_the_height():
     assert S.check_language(parse("!(P(x) | P(y))", "team"), "team") == 3
 
 
+DEPTH_SHAPES = [
+    ("~(", "P(x)", "team"),
+    ("!(", "P(x)", "team"),
+    ("E x. (", "P(x)", "team"),
+    ("P(x) & (", "P(x)", "team"),
+    ("<>(", "p", "mtl"),
+    ("P(x) -> (", "P(x)", "so"),
+]
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.permutations(DEPTH_SHAPES))
+def test_text_nested_as_deep_as_the_evaluators_accept_parses(shapes):
+    # The parser recurses twice per parenthesis, so MAX_TEAM_DEPTH levels
+    # parse and print even under Hypothesis's own frames; one more level
+    # raises NestingTooDeep, never RecursionError.
+    for opener, base, language in shapes:
+        nested = lambda levels: opener * levels + base + ")" * levels
+        phi = parse(nested(S.MAX_TEAM_DEPTH), language)
+        assert parse(format_formula(phi), language) == phi
+        with pytest.raises(S.NestingTooDeep, match="^formula nested too deeply$"):
+            parse(nested(S.MAX_TEAM_DEPTH + 1), language)
+
+
+def test_function_applications_count_toward_the_nesting_limit():
+    term = lambda levels: "F(" * levels + "x" + ")" * levels
+    t = parse(f"P({term(S.MAX_TEAM_DEPTH)})", "team").args[0]
+    for _ in range(S.MAX_TEAM_DEPTH):
+        assert t.name == "F" and len(t.args) == 1
+        t = t.args[0]
+    assert t == Var("x")
+    with pytest.raises(S.NestingTooDeep):
+        parse(f"y = {term(S.MAX_TEAM_DEPTH + 1)}", "team")
+    # parentheses and applications add up; an atom's own arguments do not count
+    half = S.MAX_TEAM_DEPTH // 2
+    parse("(" * half + f"P({term(half)})" + ")" * half, "team")
+    with pytest.raises(S.NestingTooDeep):
+        parse("(" * half + f"P({term(half + 1)})" + ")" * half, "team")
+
+
+def test_prefix_runs_and_operator_chains_are_read_in_loops(monkeypatch):
+    # 6000 prefixes: the run's flatness is checked once, at the innermost '!'
+    checked = []
+    is_fo = S.is_fo
+    monkeypatch.setattr(S, "is_fo", lambda phi: checked.append(phi) or is_fo(phi))
+    phi = parse("!E x. !" * 2000 + "P(x)", "team")
+    assert len(checked) == 1
+    assert S.check_language(phi, "team") == 6001
+    with pytest.raises(ParseError, match="'!' may only negate first-order formulas"):
+        parse("!~!P(x)", "team")
+    # 3000 right-associated arrows
+    chain = parse(" -> ".join(["P(x)"] * 3000), "so")
+    assert S.check_language(chain, "so") == 3000
+    assert isinstance(chain.right, S.Implies) and chain.left == Pred("P", (Var("x"),))
+
+
 def test_walk_is_root_first_then_children_left_to_right():
     phi = parse("(E x. (P(x) | (~R(x,y)))) & NE P(y)", "team")
     assert [S.format_formula(n) for n in S.walk(phi)] == [
