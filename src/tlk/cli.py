@@ -479,7 +479,7 @@ def main(argv=None) -> int:
         print(f"tlk: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (RecursionError, S.NestingTooDeep):
-        # the printer and the syntax passes recurse once per nesting level
+        # last resort for what still recurses per level: expand, sidecar dependencies
         print("tlk: formula nested too deeply", file=sys.stderr)
         return EXIT_RESOURCE
     except (ParseError, ValueError, KeyError) as exc:

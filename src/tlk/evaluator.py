@@ -166,8 +166,8 @@ class _Prepared:
 
     The constructor runs the language check and raises
     ``syntax.NestingTooDeep`` past ``MAX_TEAM_DEPTH`` levels, so the
-    recursive pass below and the evaluators stay within Python's
-    recursion limit.  ``flat``, ``fr`` and ``hook`` map node ids to
+    evaluators stay within Python's recursion limit; the tables are one
+    ``syntax.fold``.  ``flat``, ``fr`` and ``hook`` map node ids to
     flatness (first-order in team logic, classical modal in modal team
     logic), free variables, and for hook-shaped disjunctions
     !a | (a & psi) with flat a the pair (a, psi).  ``preds`` and
@@ -188,36 +188,36 @@ class _Prepared:
         self.preds: set[tuple[str, int]] = set()
         self.funcs: set[tuple[str, int]] = set()
         self.props: set[str] = set()
-        self._visit(phi)
+        S.fold(phi, self._entry)
 
-    def _visit(self, node: S.Formula) -> None:
-        kids = S.children(node)
-        for c in kids:
-            if id(c) not in self.flat:
-                self._visit(c)
-        flat, fr = self.flat, self.fr
+    def _entry(self, node: S.Formula, below) -> tuple[bool, frozenset[str]]:
+        """Record the node's flatness, free variables and hook, given its
+        children's (flat, free variables) pairs, and return its own."""
         leaves, connectives = self.shape
-        flat[id(node)] = isinstance(node, leaves) or (
-            isinstance(node, connectives) and all(flat[id(c)] for c in kids)
-        )
-        if isinstance(node, (S.Exists, S.Forall)):
-            fr[id(node)] = fr[id(node.body)] - {node.var}
-        elif kids:
-            fr[id(node)] = frozenset().union(*(fr[id(c)] for c in kids))
+        if below:
+            flat = isinstance(node, connectives) and all(f for f, _ in below)
+            fr = below[0][1] if len(below) == 1 else below[0][1] | below[1][1]
+            if isinstance(node, (S.Exists, S.Forall)):
+                fr = fr - {node.var}
         else:
-            fr[id(node)] = S.free_vars(node)
+            flat = isinstance(node, leaves)
+            fr = S.atom_vars(node)
             self.funcs |= S.function_uses(node)
-            self.props |= S.prop_names(node)
             if isinstance(node, S.Pred):
                 self.preds.add((node.name, len(node.args)))
+            elif isinstance(node, S.Prop):
+                self.props.add(node.name)
+        self.flat[id(node)] = flat
+        self.fr[id(node)] = fr
         if (
             isinstance(node, S.Or)
             and isinstance(node.left, S.Not)
             and isinstance(node.right, S.And)
-            and flat[id(node.left.body)]
+            and self.flat[id(node.left.body)]
             and node.left.body == node.right.left
         ):
             self.hook[id(node)] = (node.left.body, node.right.right)
+        return flat, fr
 
 
 # The formula prepared last.  The solver prepares one formula object

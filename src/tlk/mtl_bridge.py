@@ -72,19 +72,25 @@ def standard_translation(phi: S.Formula, var: str = "x") -> S.Formula:
     """
     S.check_language(phi, "mtl")
     mapping = _check_prop_names(S.prop_names(phi))
-    return _st(phi, var, mapping)
+    vs = tuple(dict.fromkeys((var, "x", "y")))  # every variable the translation meets
+
+    def combine(node: S.Formula, below) -> dict[str, S.Formula]:
+        """st_v(node) for each v in vs, from the same of the children."""
+        if isinstance(node, S.Prop):
+            return {v: S.Pred(mapping[node.name], (S.Var(v),)) for v in vs}
+        if isinstance(node, (S.Diamond, S.Box)):
+            return {v: _step(node, v, _other(v), below[0][_other(v)]) for v in vs}
+        return {v: S.rebuild(node, [b[v] for b in below]) for v in vs}
+
+    return S.fold(phi, combine)[var]
 
 
-def _st(phi: S.Formula, v: str, mapping: dict[str, str]) -> S.Formula:
-    if isinstance(phi, S.Prop):
-        return S.Pred(mapping[phi.name], (S.Var(v),))
-    if isinstance(phi, (S.Diamond, S.Box)):
-        o = _other(v)
-        edge = S.Pred(EDGE_REL, (S.Var(v), S.Var(o)))
-        if isinstance(phi, S.Diamond):
-            return S.Exists(o, S.And(edge, _st(phi.body, o, mapping)))
-        return S.Forall(o, S.Or(S.Not(edge), S.And(edge, _st(phi.body, o, mapping))))
-    return S.map_children(phi, lambda c: _st(c, v, mapping))
+def _step(modality: S.Formula, v: str, o: str, body: S.Formula) -> S.Formula:
+    """st_v of a diamond or box whose body translates to ``body`` at o."""
+    edge = S.Pred(EDGE_REL, (S.Var(v), S.Var(o)))
+    if isinstance(modality, S.Diamond):
+        return S.Exists(o, S.And(edge, body))
+    return S.Forall(o, S.Or(S.Not(edge), S.And(edge, body)))
 
 
 def kripke_vocabulary(props) -> Vocabulary:
@@ -199,16 +205,16 @@ def reduce_ptl_sat_to_mc(phi: S.Formula, equality: bool = True) -> ReducedInstan
     prop_vars = {p: f"x{i+1}" for i, p in enumerate(props)}
     if equality:
         mapping = {p: S.Eq(S.Var(v), S.Var("z")) for p, v in prop_vars.items()}
-        body = S.Or(S.TOP, subst_props_fo(phi, mapping))
-        psi = S.Exists("z", S.forall_all([prop_vars[p] for p in props], body))
         structure = Structure(2)
         vocab = Vocabulary(predicates={}, equality_enabled=True)
     else:
         mapping = {p: S.Pred("P", (S.Var(v),)) for p, v in prop_vars.items()}
-        body = S.Or(S.TOP, subst_props_fo(phi, mapping))
-        psi = S.forall_all([prop_vars[p] for p in props], body)
         structure = Structure(2, {"P": frozenset(((1,),))})
         vocab = Vocabulary(predicates={"P": 1}, equality_enabled=False)
+    body = S.Or(S.TOP, subst_props_fo(phi, mapping))
+    psi = S.forall_all([prop_vars[p] for p in props], body)
+    if equality:
+        psi = S.Exists("z", psi)
     return ReducedInstance(
         structure=structure,
         team=Team.unit(),
@@ -218,13 +224,22 @@ def reduce_ptl_sat_to_mc(phi: S.Formula, equality: bool = True) -> ReducedInstan
     )
 
 
+_PTL = (S.Not, S.BoolNot, S.And, S.Or)  # the connectives of modality-free formulas
+
+
 def subst_props_fo(phi: S.Formula, mapping: dict[str, S.Formula]) -> S.Formula:
     """Replace props by first-order atoms in a modality-free team formula."""
-    if isinstance(phi, S.Prop):
-        try:
-            return mapping[phi.name]
-        except KeyError:
-            raise ValueError(f"no replacement for proposition {phi.name!r}") from None
-    if not isinstance(phi, (S.Not, S.BoolNot, S.And, S.Or, S.Top, S.Bot)):
-        raise ValueError(f"not a modality-free team formula: {S.format_formula(phi)}")
-    return S.map_children(phi, lambda c: subst_props_fo(c, mapping))
+
+    def combine(node: S.Formula, kids) -> S.Formula:
+        if isinstance(node, S.Prop):
+            try:
+                return mapping[node.name]
+            except KeyError:
+                raise ValueError(f"no replacement for proposition {node.name!r}") from None
+        if kids or isinstance(node, (S.Top, S.Bot)):
+            return S.rebuild(node, kids)
+        raise ValueError(f"not a modality-free team formula: {S.format_formula(node)}")
+
+    # other nodes are leaves here, so the first offender met is the first in reading order
+    return S.fold(phi, combine, lambda node: S.children(node) if isinstance(node, _PTL) else ())
+

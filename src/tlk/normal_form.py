@@ -94,6 +94,9 @@ class _Expander:
             raise ValueError(
                 "dependency atoms have no first-order disjunctive normal form"
             )
+        pair = S.as_ovee(phi)
+        if pair is not None:  # a \/ b: the disjuncts of both sides
+            return self.check(self.expand(pair[0]) + self.expand(pair[1]))
         if isinstance(phi, S.BoolNot):
             return self._negate(self.expand(phi.body))
         if isinstance(phi, S.And):
@@ -241,84 +244,30 @@ def _law2(phi: S.Formula, forward: bool) -> S.Formula | None:
     return S.or_all([S.And(a, S.mk_e(b)) for a, b in parts])
 
 
-def _law3(phi: S.Formula, forward: bool) -> S.Formula | None:
-    if forward:
-        if not isinstance(phi, S.Or):
-            return None
-        pair = S.as_ovee(phi.left)
-        if pair is None:
-            return None
-        t1, t2 = pair
-        return S.mk_ovee(S.Or(t1, phi.right), S.Or(t2, phi.right))
-    pair = S.as_ovee(phi)
-    if pair is None:
-        return None
-    left, right = pair
-    if not isinstance(left, S.Or) or not isinstance(right, S.Or):
-        return None
-    if left.right != right.right:
-        return None
-    return S.Or(S.mk_ovee(left.left, right.left), left.right)
+def _ovee_out_of_or(left: bool):
+    """Laws 3 (``left``) and 4: a \\/ on that side of a | distributes over
+    the | with the other side held fixed."""
 
+    def split(o):  # (the distributed side, the fixed side)
+        return (o.left, o.right) if left else (o.right, o.left)
 
-def _law4(phi: S.Formula, forward: bool) -> S.Formula | None:
-    if forward:
-        if not isinstance(phi, S.Or):
-            return None
-        pair = S.as_ovee(phi.right)
-        if pair is None:
-            return None
-        t2, t3 = pair
-        return S.mk_ovee(S.Or(phi.left, t2), S.Or(phi.left, t3))
-    pair = S.as_ovee(phi)
-    if pair is None:
-        return None
-    left, right = pair
-    if not isinstance(left, S.Or) or not isinstance(right, S.Or):
-        return None
-    if left.left != right.left:
-        return None
-    return S.Or(left.left, S.mk_ovee(left.right, right.right))
+    def join(t, fixed):
+        return S.Or(t, fixed) if left else S.Or(fixed, t)
 
-
-def _law5(phi: S.Formula, forward: bool) -> S.Formula | None:
-    if forward:
-        if not isinstance(phi, S.Exists):
+    def law(phi: S.Formula, forward: bool) -> S.Formula | None:
+        if forward:
+            if not isinstance(phi, S.Or):
+                return None
+            inner, fixed = split(phi)
+            pair = S.as_ovee(inner)
+            return None if pair is None else S.mk_ovee(join(pair[0], fixed), join(pair[1], fixed))
+        pair = S.as_ovee(phi)
+        if pair is None or not all(isinstance(o, S.Or) for o in pair):
             return None
-        pair = S.as_ovee(phi.body)
-        if pair is None:
-            return None
-        return S.mk_ovee(S.Exists(phi.var, pair[0]), S.Exists(phi.var, pair[1]))
-    pair = S.as_ovee(phi)
-    if pair is None:
-        return None
-    left, right = pair
-    if (
-        not isinstance(left, S.Exists)
-        or not isinstance(right, S.Exists)
-        or left.var != right.var
-    ):
-        return None
-    return S.Exists(left.var, S.mk_ovee(left.body, right.body))
+        (a, c), (b, d) = split(pair[0]), split(pair[1])
+        return join(S.mk_ovee(a, b), c) if c == d else None
 
-
-def _law6(phi: S.Formula, forward: bool) -> S.Formula | None:
-    if forward:
-        if not isinstance(phi, S.Exists) or not isinstance(phi.body, S.Or):
-            return None
-        return S.Or(
-            S.Exists(phi.var, phi.body.left), S.Exists(phi.var, phi.body.right)
-        )
-    if not isinstance(phi, S.Or):
-        return None
-    left, right = phi.left, phi.right
-    if (
-        not isinstance(left, S.Exists)
-        or not isinstance(right, S.Exists)
-        or left.var != right.var
-    ):
-        return None
-    return S.Exists(left.var, S.Or(left.body, right.body))
+    return law
 
 
 def _law7(phi: S.Formula, forward: bool) -> S.Formula | None:
@@ -347,25 +296,6 @@ def _law7(phi: S.Formula, forward: bool) -> S.Formula | None:
     return S.Exists(phi.left.var, S.And(inner.left, S.mk_e(inner.right)))
 
 
-def _law8(phi: S.Formula, forward: bool) -> S.Formula | None:
-    if forward:
-        if not isinstance(phi, S.Forall) or not isinstance(phi.body, S.And):
-            return None
-        return S.And(
-            S.Forall(phi.var, phi.body.left), S.Forall(phi.var, phi.body.right)
-        )
-    if not isinstance(phi, S.And):
-        return None
-    left, right = phi.left, phi.right
-    if (
-        not isinstance(left, S.Forall)
-        or not isinstance(right, S.Forall)
-        or left.var != right.var
-    ):
-        return None
-    return S.Forall(left.var, S.And(left.body, right.body))
-
-
 def _law9(phi: S.Formula, forward: bool) -> S.Formula | None:
     if forward:
         if not isinstance(phi, S.Forall) or not isinstance(phi.body, S.BoolNot):
@@ -376,15 +306,38 @@ def _law9(phi: S.Formula, forward: bool) -> S.Formula | None:
     return S.Forall(phi.body.var, S.BoolNot(phi.body.body))
 
 
+def _quantifier_law(cls: type, operands, join):
+    """The law  cls x. join(t1, t2) == join(cls x. t1, cls x. t2), where
+    ``operands`` matches a join and returns (t1, t2), or None."""
+
+    def law(phi: S.Formula, forward: bool) -> S.Formula | None:
+        if forward:
+            pair = operands(phi.body) if isinstance(phi, cls) else None
+            return None if pair is None else join(cls(phi.var, pair[0]), cls(phi.var, pair[1]))
+        pair = operands(phi)
+        if pair is None:
+            return None
+        left, right = pair
+        if isinstance(left, cls) and isinstance(right, cls) and left.var == right.var:
+            return cls(left.var, join(left.body, right.body))
+        return None
+
+    return law
+
+
+def _operands_of(cls: type):
+    return lambda phi: (phi.left, phi.right) if isinstance(phi, cls) else None
+
+
 LAWS = {
     1: ("and_e_over_or", _law1),
     2: ("or_of_and_e", _law2),
-    3: ("ovee_out_of_or_left", _law3),
-    4: ("ovee_out_of_or_right", _law4),
-    5: ("exists_over_ovee", _law5),
-    6: ("exists_over_or", _law6),
+    3: ("ovee_out_of_or_left", _ovee_out_of_or(True)),
+    4: ("ovee_out_of_or_right", _ovee_out_of_or(False)),
+    5: ("exists_over_ovee", _quantifier_law(S.Exists, S.as_ovee, S.mk_ovee)),
+    6: ("exists_over_or", _quantifier_law(S.Exists, _operands_of(S.Or), S.Or)),
     7: ("exists_over_and_e", _law7),
-    8: ("forall_over_and", _law8),
+    8: ("forall_over_and", _quantifier_law(S.Forall, _operands_of(S.And), S.And)),
     9: ("forall_over_boolnot", _law9),
 }
 

@@ -263,7 +263,6 @@ def _nnf(phi: S.Formula, positive: bool, depth: int, sides: dict) -> S.Formula:
 
 _MISSING = object()
 _NONE: frozenset[str] = frozenset()
-_REL_BINDERS = (S.ExistsRel, S.ForallRel, S.ExistsRelSparse, S.ForallRelSparse)
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -287,13 +286,14 @@ def _clashes(binder, other_a: frozenset, other_b: frozenset, uses: frozenset) ->
 
 
 _EXISTS_REL = (S.ExistsRel, S.ExistsRelSparse)
+_FORALL_REL = (S.ForallRel, S.ForallRelSparse)
 # Per binder polarity (existential?): the connective guards are collected
 # through (which is also the one a literal sits under), the connective
 # that splits a guard into its parts, the element quantifier of the chain,
 # and the relation binders passed through.
 _GUARD_SHAPES = {
     True: (S.And, S.Or, S.Forall, _EXISTS_REL),
-    False: (S.Or, S.And, S.Exists, (S.ForallRel, S.ForallRelSparse)),
+    False: (S.Or, S.And, S.Exists, _FORALL_REL),
 }
 
 
@@ -392,7 +392,7 @@ class _SOEvaluator:
         self.free: tuple = ()  # the root's per-sort free names
 
     def prepare(self, phi: S.Formula, assigned) -> None:
-        """Fill ``names`` and ``keynames`` in one bottom-up pass.
+        """Fill ``names`` and ``keynames`` in one ``syntax.fold``.
 
         The pass keeps each node's free element, relation and function
         names apart, so a binder removes its name from its own sort
@@ -406,9 +406,7 @@ class _SOEvaluator:
         applications: these functions are the structure's, which must
         interpret them at those arities.
         """
-        sorts: dict[int, tuple] = {}  # per-sort free names, dropped after the pass
-        self._visit(phi, sorts)
-        self.free = sorts[id(phi)]
+        self.free = S.fold(phi, self._entry)
         fun, uses = self.free[2:4]
         self.funcs = fun.difference(assigned) if fun else _NONE
         self.fun_uses = [u for u in uses if u[0] in self.funcs]
@@ -420,23 +418,22 @@ class _SOEvaluator:
                 key = keys[ns] = tuple(sorted(ns))
             self.keynames[k] = key
 
-    def _visit(self, node: S.Formula, sorts: dict) -> None:
+    def _entry(self, node: S.Formula, below) -> tuple:
+        """The node's per-sort free names (element, relation, function,
+        function uses, relation uses), from its children's; ``names``
+        gets their union."""
         # Equal sets are shared rather than rebuilt wherever a child's set
         # is the answer, which keeps the tables of a sentence small.
-        kids = S.children(node)
-        for c in kids:
-            if id(c) not in sorts:
-                self._visit(c, sorts)
-        if not kids:  # an atom, top or bot: read its own terms
-            elem = S.free_vars(node) or _NONE
+        if not below:  # an atom, top or bot: read its own terms
+            elem = S.atom_vars(node) or _NONE
             rel = frozenset((node.name,)) if isinstance(node, S.RelApp) else _NONE
             reluses = frozenset(((node.name, len(node.args)),)) if rel else _NONE
             uses = S.function_uses(node) or _NONE
             fun = frozenset(name for name, _ in uses) if uses else _NONE
             if isinstance(node, S.Pred):
                 self.preds.add((node.name, len(node.args)))
-        elif len(kids) == 1:
-            elem, rel, fun, uses, reluses = sorts[id(kids[0])]
+        elif len(below) == 1:
+            elem, rel, fun, uses, reluses = below[0]
             if isinstance(node, (S.Exists, S.Forall)):
                 self.clash = self.clash or node.var in rel or node.var in fun
                 elem = _without(elem, node.var)
@@ -445,7 +442,7 @@ class _SOEvaluator:
                 if node.name in fun:
                     fun = fun - {node.name}
                     uses = frozenset(u for u in uses if u[0] != node.name)
-            elif isinstance(node, _REL_BINDERS):
+            elif isinstance(node, S._REL_QUANT):
                 self.clash = self.clash or _clashes(node, elem, fun, reluses)
                 if node.name in rel:
                     rel = rel - {node.name}
@@ -455,10 +452,9 @@ class _SOEvaluator:
                         if found:
                             self.guards[id(node)] = found
         else:
-            left, right = sorts[id(kids[0])], sorts[id(kids[1])]
-            elem, rel, fun, uses, reluses = (_union(a, b) for a, b in zip(left, right))
-        sorts[id(node)] = (elem, rel, fun, uses, reluses)
+            elem, rel, fun, uses, reluses = (_union(a, b) for a, b in zip(*below))
         self.names[id(node)] = _union(_union(elem, rel), fun)
+        return elem, rel, fun, uses, reluses
 
     def _find_guards(self, binder) -> tuple:
         """The guards ``binder``'s body states about its relation, found
@@ -671,19 +667,11 @@ _DISPATCH = {
     S.Top: _SOEvaluator._ev_top,
     S.Bot: _SOEvaluator._ev_bot,
     S.Not: _SOEvaluator._ev_not,
-    S.Pred: _SOEvaluator._ev_atom,
-    S.Eq: _SOEvaluator._ev_atom,
-    S.RelApp: _SOEvaluator._ev_atom,
     S.And: _SOEvaluator._ev_and,
     S.Or: _SOEvaluator._ev_or,
-    S.Exists: _SOEvaluator._ev_exists,
-    S.ExistsRel: _SOEvaluator._ev_exists,
-    S.ExistsFun: _SOEvaluator._ev_exists,
-    S.ExistsRelSparse: _SOEvaluator._ev_exists,
-    S.Forall: _SOEvaluator._ev_forall,
-    S.ForallRel: _SOEvaluator._ev_forall,
-    S.ForallFun: _SOEvaluator._ev_forall,
-    S.ForallRelSparse: _SOEvaluator._ev_forall,
+    **dict.fromkeys((S.Pred, S.Eq, S.RelApp), _SOEvaluator._ev_atom),
+    **dict.fromkeys((S.Exists, S.ExistsFun, *_EXISTS_REL), _SOEvaluator._ev_exists),
+    **dict.fromkeys((S.Forall, S.ForallFun, *_FORALL_REL), _SOEvaluator._ev_forall),
 }
 
 

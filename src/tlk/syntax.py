@@ -34,6 +34,13 @@ The parser reads runs of prefix operators and chains of binary
 operators in loops; text nested more than ``MAX_TEAM_DEPTH`` levels
 deep, counting parentheses and function applications, raises
 ``NestingTooDeep``.
+
+The bottom-up passes (the measures, the free-name sets, the printer and
+the rebuilds such as ``subst_pred_by_relvar``) run on ``fold``, which
+walks with an explicit stack and combines each distinct node object
+once.  They take formulas of any depth, and a formula that shares
+subformulas, like the negation normal form of nested ``<->``, costs its
+distinct nodes rather than the size of its tree.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import re
 import shlex
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, NamedTuple
 
 
@@ -349,14 +356,17 @@ _DUAL_PAIRS = (
 DUALS = {**dict(_DUAL_PAIRS), **{b: a for a, b in _DUAL_PAIRS}}
 
 
+# The number of formula children of each node class; leaves have none.
+_ARITY = {**{cls: 1 for cls in _UNARY + _FO_QUANT + _SO_QUANT}, **{cls: 2 for cls in _BINARY}}
+
+
 def children(phi: Formula) -> tuple[Formula, ...]:
     """Immediate formula children of a node."""
-    if isinstance(phi, _UNARY):
+    arity = _ARITY.get(type(phi))
+    if arity == 1:
         return (phi.body,)
-    if isinstance(phi, _BINARY):
+    if arity == 2:
         return (phi.left, phi.right)
-    if isinstance(phi, _FO_QUANT) or isinstance(phi, _SO_QUANT):
-        return (phi.body,)
     return ()
 
 
@@ -378,6 +388,46 @@ def map_children(phi: Formula, fn, cls: type | None = None) -> Formula:
     if isinstance(phi, _SO_QUANT):
         return make(phi.name, phi.arity, fn(phi.body))
     return phi
+
+
+def rebuild(phi: Formula, kids) -> Formula:
+    """phi with its formula children replaced by ``kids``, in order."""
+    replacements = iter(kids)
+    return map_children(phi, lambda _: next(replacements))
+
+
+def fold(phi: Formula, combine, operands=children):
+    """Fold phi bottom-up to the root's value: ``combine(node, values of its
+    operands)`` runs once per distinct node object, post-order and left to
+    right, on an explicit stack.  Nodes are told apart by ``id``, so
+    ``operands`` (default: the children) must return subformulas of phi."""
+    kids = operands(phi)
+    if not kids:
+        return combine(phi, ())
+    done = {}
+    stack = [(phi, kids, 0)]  # an inner node, its operands, the next to look at
+    while stack:
+        node, kids, i = stack.pop()
+        n = len(kids)
+        while i < n:
+            c = kids[i]
+            i += 1
+            if id(c) not in done:
+                below = operands(c)
+                if below:  # an inner node: come back here once it is done
+                    stack.append((node, kids, i))
+                    stack.append((c, below, 0))
+                    break
+                done[id(c)] = combine(c, ())  # a leaf is combined at once
+        else:  # the values of one or two operands go in a tuple made directly
+            if n == 1:
+                values = (done[id(kids[0])],)
+            elif n == 2:
+                values = (done[id(kids[0])], done[id(kids[1])])
+            else:
+                values = [done[id(c)] for c in kids]
+            done[id(node)] = combine(node, values)
+    return done[id(phi)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,33 +519,30 @@ def dependence_signature(arity: int) -> DependencySignature:
     return DependencySignature("dep", arity, forall_all(xs + ["v", "w"], body))
 
 
+def _occurrences(arity: int, name: str):
+    """For inc and exc, over halves of m = arity/2 places: the variables
+    u0..u(m-1), and the sentences that they occur as the first half of a
+    P-tuple and as its second half."""
+    m = _half(arity, name)
+    xs = [f"u{i}" for i in range(m)]
+    ys = [f"v{i}" for i in range(m)]
+    ws = [f"w{i}" for i in range(m)]
+    return xs, exists_all(ys, Pred("P", _vars(xs + ys))), exists_all(ws, Pred("P", _vars(ws + xs)))
+
+
 @lru_cache(maxsize=None)
 def inclusion_signature(arity: int) -> DependencySignature:
     """inc(t1..tm, u1..um): every value of the first half occurs as a
     value of the second half."""
-    m = _half(arity, "inc")
-    xs = [f"u{i}" for i in range(m)]
-    ys = [f"v{i}" for i in range(m)]
-    ws = [f"w{i}" for i in range(m)]
-    occurs_left = exists_all(ys, Pred("P", _vars(xs + ys)))
-    occurs_right = exists_all(ws, Pred("P", _vars(ws + xs)))
-    return DependencySignature(
-        "inc", arity, forall_all(xs, Or(Not(occurs_left), occurs_right))
-    )
+    xs, as_left, as_right = _occurrences(arity, "inc")
+    return DependencySignature("inc", arity, forall_all(xs, Or(Not(as_left), as_right)))
 
 
 @lru_cache(maxsize=None)
 def exclusion_signature(arity: int) -> DependencySignature:
     """exc(t1..tm, u1..um): the two halves take disjoint value sets."""
-    m = _half(arity, "exc")
-    xs = [f"u{i}" for i in range(m)]
-    ys = [f"v{i}" for i in range(m)]
-    ws = [f"w{i}" for i in range(m)]
-    as_left = exists_all(ys, Pred("P", _vars(xs + ys)))
-    as_right = exists_all(ws, Pred("P", _vars(ws + xs)))
-    return DependencySignature(
-        "exc", arity, forall_all(xs, Or(Not(as_left), Not(as_right)))
-    )
+    xs, as_left, as_right = _occurrences(arity, "exc")
+    return DependencySignature("exc", arity, forall_all(xs, Or(Not(as_left), Not(as_right))))
 
 
 @lru_cache(maxsize=None)
@@ -644,49 +691,19 @@ def parse_vocabulary(text: str) -> Vocabulary:
 # Measures
 
 
-def free_vars(phi: Formula) -> frozenset[str]:
-    """Free first-order variables; Fr(A t) = Var(t) for dependency atoms."""
+def _atom_terms(phi: Formula) -> tuple:
     if isinstance(phi, (Pred, RelApp, DepAtom)):
-        out: frozenset[str] = frozenset()
-        for t in phi.args:
-            out |= term_vars(t)
-        return out
+        return phi.args
     if isinstance(phi, Eq):
-        return term_vars(phi.left) | term_vars(phi.right)
-    if isinstance(phi, _FO_QUANT):
-        return free_vars(phi.body) - {phi.var}
-    out = frozenset()
-    for c in children(phi):
-        out |= free_vars(c)
-    return out
+        return (phi.left, phi.right)
+    return ()
 
 
-def all_vars(phi: Formula) -> frozenset[str]:
-    """Var(phi): every variable occurring, bound or free, binders included."""
-    if isinstance(phi, (Pred, RelApp, DepAtom)):
-        out: frozenset[str] = frozenset()
-        for t in phi.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(phi, Eq):
-        return term_vars(phi.left) | term_vars(phi.right)
-    if isinstance(phi, _FO_QUANT):
-        return all_vars(phi.body) | {phi.var}
-    out = frozenset()
-    for c in children(phi):
-        out |= all_vars(c)
-    return out
-
-
-def free_relation_vars(phi: Formula) -> frozenset[str]:
-    """Free second-order relation variables."""
-    if isinstance(phi, RelApp):
-        return frozenset((phi.name,))
-    if isinstance(phi, (ExistsRel, ForallRel, ExistsRelSparse, ForallRelSparse)):
-        return free_relation_vars(phi.body) - {phi.name}
+def atom_vars(phi: Formula) -> frozenset[str]:
+    """The variables in the terms of an atom (empty for any other node)."""
     out: frozenset[str] = frozenset()
-    for c in children(phi):
-        out |= free_relation_vars(c)
+    for t in _atom_terms(phi):
+        out |= term_vars(t)
     return out
 
 
@@ -694,12 +711,49 @@ def function_uses(phi: Formula) -> frozenset[tuple[str, int]]:
     """The (name, arity) of every function application in the terms of
     an atom (empty for any other node)."""
     out: frozenset[tuple[str, int]] = frozenset()
-    if isinstance(phi, (Pred, RelApp, DepAtom)):
-        for t in phi.args:
-            out |= term_functions(t)
-    elif isinstance(phi, Eq):
-        out = term_functions(phi.left) | term_functions(phi.right)
+    for t in _atom_terms(phi):
+        out |= term_functions(t)
     return out
+
+
+_REL_QUANT = (ExistsRel, ForallRel, ExistsRelSparse, ForallRelSparse)
+_FUN_QUANT = (ExistsFun, ForallFun)
+
+
+def _gather(phi: Formula, of_leaf, binders=(), field="name", bind=frozenset.difference):
+    """The name sets of the leaves (``of_leaf``), united up the formula;
+    at a node of a ``binders`` class, ``bind`` (by default: remove) its
+    ``field``."""
+
+    def combine(node, below):
+        if not below:
+            return of_leaf(node)
+        names = below[0] if len(below) == 1 else below[0] | below[1]
+        if isinstance(node, binders):
+            return bind(names, (getattr(node, field),))
+        return names
+
+    return fold(phi, combine)
+
+
+def _names_of(cls: type):
+    """A leaf's name, as a set, when it is a ``cls`` node."""
+    return lambda node: frozenset((node.name,)) if isinstance(node, cls) else frozenset()
+
+
+def free_vars(phi: Formula) -> frozenset[str]:
+    """Free first-order variables; Fr(A t) = Var(t) for dependency atoms."""
+    return _gather(phi, atom_vars, _FO_QUANT, "var")
+
+
+def all_vars(phi: Formula) -> frozenset[str]:
+    """Var(phi): every variable occurring, bound or free, binders included."""
+    return _gather(phi, atom_vars, _FO_QUANT, "var", frozenset.union)
+
+
+def free_relation_vars(phi: Formula) -> frozenset[str]:
+    """Free second-order relation variables."""
+    return _gather(phi, _names_of(RelApp), _REL_QUANT)
 
 
 def free_function_vars(phi: Formula) -> frozenset[str]:
@@ -708,17 +762,20 @@ def free_function_vars(phi: Formula) -> frozenset[str]:
     Vocabulary functions and free function variables are syntactically
     alike; the split is made against a vocabulary or an assignment.
     """
-    out = frozenset(name for name, _ in function_uses(phi))
-    if isinstance(phi, (ExistsFun, ForallFun)):
-        return free_function_vars(phi.body) - {phi.name}
-    for c in children(phi):
-        out |= free_function_vars(c)
-    return out
+    return _gather(
+        phi, lambda node: frozenset(name for name, _ in function_uses(node)), _FUN_QUANT
+    )
+
+
+def prop_names(phi: Formula) -> frozenset[str]:
+    """Prop(phi): propositional variables of a modal formula."""
+    return _gather(phi, _names_of(Prop))
 
 
 def size(phi: Formula) -> int:
-    """Number of formula nodes (atoms count one; terms are free)."""
-    return 1 + sum(size(c) for c in children(phi))
+    """Number of formula nodes (atoms count one; terms are free), counting
+    a shared subformula once for each place it occurs."""
+    return fold(phi, lambda node, below: 1 + sum(below))
 
 
 def width(phi: Formula) -> int:
@@ -726,37 +783,27 @@ def width(phi: Formula) -> int:
     return len(all_vars(phi))
 
 
+def _nesting(phi: Formula, cls) -> int:
+    """The most ``cls`` nodes on one branch."""
+    return fold(
+        phi, lambda node, below: max(below, default=0) + (1 if isinstance(node, cls) else 0)
+    )
+
+
 def quantifier_rank(phi: Formula) -> int:
     """Nesting depth of quantifiers; atoms 0, negations transparent."""
-    if isinstance(phi, _FO_QUANT) or isinstance(phi, _SO_QUANT):
-        return quantifier_rank(phi.body) + 1
-    return max((quantifier_rank(c) for c in children(phi)), default=0)
+    return _nesting(phi, _FO_QUANT + _SO_QUANT)
 
 
 def modal_depth(phi: Formula) -> int:
     """Nesting depth of modalities."""
-    extra = 1 if isinstance(phi, (Diamond, Box)) else 0
-    return extra + max((modal_depth(c) for c in children(phi)), default=0)
-
-
-def prop_names(phi: Formula) -> frozenset[str]:
-    """Prop(phi): propositional variables of a modal formula."""
-    if isinstance(phi, Prop):
-        return frozenset((phi.name,))
-    out: frozenset[str] = frozenset()
-    for c in children(phi):
-        out |= prop_names(c)
-    return out
+    return _nesting(phi, (Diamond, Box))
 
 
 def pred_names(phi: Formula) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for node in walk(phi):
-        if isinstance(node, Pred):
-            out |= {node.name}
-        elif isinstance(node, DepAtom):
-            out |= pred_names(node.dep.delta)
-    return out
+    """The predicates phi uses, its dependency atoms' defining sentences included."""
+    pred = _names_of(Pred)
+    return _gather(phi, lambda n: pred_names(n.dep.delta) if isinstance(n, DepAtom) else pred(n))
 
 
 # ---------------------------------------------------------------------------
@@ -781,20 +828,22 @@ def _height_in(phi: Formula, language: str) -> int:
     """phi's height (the nodes on its longest branch) when phi belongs to
     the language, else 0.  It walks one level of (node, language row)
     pairs at a time, with no recursion, and stops at the first node
-    outside its language."""
-    level = [(phi, _LANGUAGES[language])]
+    outside its language.  A node met twice on one level with the same
+    row is visited there once, not once per path to it."""
+    level = {(id(phi), language): phi}
     height = 0
     while level:
         height += 1
-        below = []
-        for node, row in level:
-            leaves, connectives, flat = row
+        below = {}
+        for (_, row), node in level.items():
+            leaves, connectives, flat = _LANGUAGES[row]
             if isinstance(node, leaves):
                 continue
             if flat is not None and isinstance(node, Not):
-                below.append((node.body, _LANGUAGES[flat]))
+                below[id(node.body), flat] = node.body
             elif isinstance(node, connectives):
-                below.extend((c, row) for c in children(node))
+                for c in children(node):
+                    below[id(c), row] = c
             else:
                 return 0
         level = below
@@ -883,22 +932,12 @@ def _shallow(phi: Formula, levels: int = 40) -> Formula:
 def and_all(items, empty: Formula = TOP) -> Formula:
     """Left-associated conjunction; the empty conjunction is top."""
     items = list(items)
-    if not items:
-        return empty
-    out = items[0]
-    for it in items[1:]:
-        out = And(out, it)
-    return out
+    return reduce(And, items) if items else empty
 
 
 def or_all(items, empty: Formula = BOT) -> Formula:
     items = list(items)
-    if not items:
-        return empty
-    out = items[0]
-    for it in items[1:]:
-        out = Or(out, it)
-    return out
+    return reduce(Or, items) if items else empty
 
 
 def mk_e(beta: Formula) -> Formula:
@@ -946,9 +985,13 @@ def ovee_all(items, empty: Formula | None = None) -> Formula:
 
 def subst_pred_by_relvar(phi: Formula, pred: str, rel: str) -> Formula:
     """Turn every atom pred(t...) into an application of relation variable rel."""
-    if isinstance(phi, Pred) and phi.name == pred:
-        return RelApp(rel, phi.args)
-    return map_children(phi, lambda c: subst_pred_by_relvar(c, pred, rel))
+
+    def combine(node: Formula, kids) -> Formula:
+        if isinstance(node, Pred) and node.name == pred:
+            return RelApp(rel, node.args)
+        return rebuild(node, kids)
+
+    return fold(phi, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -1395,17 +1438,17 @@ def _binder(phi: Formula) -> str:
 
 def format_formula(phi: Formula) -> str:
     """Render a formula in surface syntax; parse round-trips it."""
-    return _render(phi)[0]
+    return fold(phi, _render, lambda node: _surface(node)[1])[0]
 
 
-def _render(phi: Formula) -> tuple[str, int]:
-    """phi's surface text and the level of its outermost operator."""
-    op, operands = _surface(phi)
+def _render(phi: Formula, operands) -> tuple[str, int]:
+    """phi's surface text and the level of its outermost operator, from
+    the (text, level) of each of its surface operands."""
+    op, _ = _surface(phi)
     if op is None:
         return _format_atom(phi), _ATOM
     texts = []
-    for side, child in enumerate(operands):
-        text, level = _render(child)
+    for side, (text, level) in enumerate(operands):
         if op.level == _ATOM:  # NE takes an atom
             parens = level != _ATOM
         elif op.level == _PREFIX:  # maximal scope: only a binary operator needs parentheses

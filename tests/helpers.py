@@ -10,8 +10,10 @@ verdicts one line per criterion.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 from tlk import Structure, Team
@@ -650,3 +652,51 @@ def exists_supplement(T: Team, var: str, S: Team, n: int) -> bool:
         if not any(s.set(var, u.get(var)) == u for s in T.rows):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Deep and shared formulas
+
+
+# Text of formulas far deeper than any recursion limit: a 3000-term
+# conjunction and runs of 3000 and 6000 prefix operators, in modal team
+# logic, so that every pass over formulas applies to them.
+DEEP_MTL_TEXTS = {
+    "chain": " & ".join(["p"] * 3000),
+    "~3000": "~" * 3000 + "p",
+    "~6000": "~" * 6000 + "p",
+    "<>3000": "<>" * 3000 + "p",
+    "<>6000": "<>" * 6000 + "p",
+}
+
+
+@contextlib.contextmanager
+def recursion_limit(limit: int):
+    """Run the block under a lower recursion limit, so that a pass that
+    recurses once per level fails on depths it would otherwise survive."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def nested_iff(levels: int) -> S.Formula:
+    """P(x) <-> P(x) <-> ... with ``levels`` arrows, nested to the left;
+    its negation normal form shares subformulas, a DAG of linear size."""
+    phi = S.Pred("P", (S.Var("x"),))
+    for _ in range(levels):
+        phi = S.Iff(phi, S.Pred("P", (S.Var("x"),)))
+    return phi
+
+
+def distinct_nodes(phi: S.Formula) -> int:
+    """The number of distinct node objects in a formula."""
+    seen, stack = set(), [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(S.children(node))
+    return len(seen)

@@ -70,6 +70,16 @@ def test_parse_json_reports_measures(capsys):
     }
 
 
+def test_parse_json_measures_a_long_chain(capsys):
+    formula = " & ".join(["P(x)"] * 3000)
+    code, out, _ = run(capsys, ["parse", "--json", "--formula", formula])
+    assert code == EXIT_TRUE
+    payload = json.loads(out)
+    assert payload == {
+        "formula": formula, "size": 5999, "width": 1, "quantifier_rank": 0, "modal_depth": 0,
+    }
+
+
 def test_parse_error_exits_64_on_stderr(capsys):
     code, out, err = run(capsys, ["parse", "--formula", "E x. ("])
     assert code == EXIT_USAGE
@@ -204,9 +214,9 @@ def test_mc_missing_file_exits_66(capsys):
     ],
 )
 def test_deep_nesting_is_a_resource_failure_not_a_verdict(capsys, model_file, command, formula):
-    # Each input exhausts Python's recursion limit (or, for mc-so, the
-    # depth the second-order evaluator accepts); that must not read as
-    # the verdict "false" (exit 1) or end in a traceback.
+    # Each input is nested deeper than the parser or the evaluator
+    # accepts; that must not read as the verdict "false" (exit 1) or end
+    # in a traceback.
     argv = [command, "--formula", formula]
     if command != "parse":
         argv += ["--structure", model_file]
@@ -347,14 +357,26 @@ def test_dnf_prints_a_balanced_disjunction(capsys):
 
 
 def test_dnf_size_budget_exit(capsys):
-    base = "P(x) \\/ Q(x)"
-    one = f"~((~({base})) & (~({base})))"
-    two = f"~((~({one})) & (~({one})))"
+    # a conjunction of k Boolean disjunctions has 2^k disjuncts
+    product = " & ".join(["(P(x) \\/ Q(x))"] * 4)
     code, _, err = run(
-        capsys, ["dnf", "--formula", two, "--size-budget", "50"]
+        capsys, ["dnf", "--formula", product, "--size-budget", "50"]
     )
     assert code == EXIT_RESOURCE
     assert "size budget" in err
+
+
+@pytest.mark.parametrize("formula, disjuncts", [
+    ("P(x) \\/ Q(x) \\/ R(x,y)", 3),
+    ("P(x) \\/ Q(x) \\/ R(x,y) \\/ x = y", 4),
+    # the nested disjunction that used to exhaust a size budget of 50
+    ("~((~(~((~(P(x) \\/ Q(x))) & (~(P(x) \\/ Q(x)))))) & (~(~((~(P(x) \\/ Q(x))) & "
+     "(~(P(x) \\/ Q(x)))))))", 8),
+])
+def test_dnf_of_a_boolean_disjunction_has_a_disjunct_per_side(capsys, formula, disjuncts):
+    code, out, _ = run(capsys, ["dnf", "--json", "--formula", formula, "--size-budget", "50"])
+    assert code == EXIT_TRUE
+    assert json.loads(out)["disjuncts"] == disjuncts
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,14 @@ from tlk.mtl_bridge import (
     subst_props_fo,
 )
 
-from helpers import ptl_satisfiable, random_kripke, random_mtl_formula, valuation_team
+from helpers import (
+    DEEP_MTL_TEXTS,
+    ptl_satisfiable,
+    random_kripke,
+    random_mtl_formula,
+    recursion_limit,
+    valuation_team,
+)
 
 
 def _kripke():
@@ -67,6 +74,32 @@ def test_standard_translation_is_two_variable():
         out = standard_translation(phi)
         assert S.all_vars(out) <= {"x", "y"}
         assert S.free_vars(out) <= {"x"}
+
+
+def test_standard_translation_from_a_third_variable():
+    # z starts the alternation; the modalities below it use y and x
+    assert S.format_formula(standard_translation(parse("<>(([]p) & (~<>q))", "mtl"), "z")) == (
+        "E y. (R(z,y) & ((A x. ((!R(y,x)) | R(y,x) & P(x))) & (~E x. (R(y,x) & Q(x)))))"
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_MTL_TEXTS))
+def test_standard_translation_takes_any_depth(shape):
+    text = DEEP_MTL_TEXTS[shape]
+    phi = parse(text, "mtl")
+    modal = text.count("<>")
+    with recursion_limit(750):
+        out = standard_translation(phi)
+        measures = (S.size(out), S.quantifier_rank(out), S.modal_depth(out), S.all_vars(out))
+        printed = S.format_formula(out)
+    # each diamond becomes E, & and its edge atom
+    assert measures == (S.size(phi) + 2 * modal, modal, 0, {"x", "y"} if modal else {"x"})
+    if modal:  # E y. (R(x,y) & (E x. (R(y,x) & (... P(x)))))
+        pairs = [("x", "y") if i % 2 == 0 else ("y", "x") for i in range(modal)]
+        opening = "(".join(f"E {o}. (R({v},{o}) & " for v, o in pairs)
+        assert printed == opening + f"P({pairs[-1][1]})" + ")" + "))" * (modal - 1)
+    else:
+        assert printed == text.replace("p", "P(x)")
 
 
 def test_standard_translation_rejects_colliding_proposition_names():
@@ -197,6 +230,32 @@ def test_reduce_sat_to_mc_agrees_with_brute_force():
             inst = reduce_ptl_sat_to_mc(phi, equality=equality)
             got = eval_team(inst.structure, inst.team, inst.formula)
             assert got is expected, S.format_formula(phi)
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_MTL_TEXTS))
+def test_reduce_sat_to_mc_takes_any_depth(shape):
+    phi = parse(DEEP_MTL_TEXTS[shape], "mtl")
+    with recursion_limit(750):
+        if S.modal_depth(phi):
+            with pytest.raises(ValueError, match="modality-free"):
+                reduce_ptl_sat_to_mc(phi)
+            return
+        inst = reduce_ptl_sat_to_mc(phi)
+        # E z. A x1. (top | phi*), with p turned into x1 = z
+        assert S.size(inst.formula) == S.size(phi) + 4
+        assert S.free_vars(inst.formula) == set()
+        assert inst.prop_vars == {"p": "x1"}
+
+
+def test_subst_props_fo_reports_the_first_offender_in_reading_order():
+    mapping = {"p": parse("P(x)", "team")}
+    for text, message in [
+        ("(<>zebra) & zebra", "modality-free team formula: <>zebra"),
+        ("zebra & (<>p)", "no replacement for proposition 'zebra'"),
+        ("(~<>p) & ([]q)", "modality-free team formula: <>p"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            subst_props_fo(parse(text, "mtl"), mapping)
 
 
 def test_reduce_sat_to_mc_rejects_modalities():

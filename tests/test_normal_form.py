@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -27,7 +28,6 @@ def _pqr_structure(rng):
     """A 2-element structure interpreting P, Q (unary) and R (binary)."""
     n = 2
     def rel(arity):
-        import itertools
         return frozenset(
             t for t in itertools.product(range(n), repeat=arity) if rng.random() < 0.5
         )
@@ -66,15 +66,18 @@ def test_dnf_requires_a_disjunct():
 
 
 def test_reconstruct_nests_logarithmically():
-    # 240 disjuncts: a left-nested disjunction of them was 730 levels
-    # deep, which eval_team refuses with NestingTooDeep
-    phi = _t("E x. ((~~P(x)) \\/ (~~P(x)))")
-    back = reconstruct(dnf_expand(phi))
-    assert S.check_language(back, "team") == 39
+    # 256 disjuncts: a left-nested disjunction of them would be about 770
+    # levels deep, which eval_team refuses with NestingTooDeep
+    phi = _t("E x. (" + " & ".join(["(P(x) \\/ Q(x))"] * 8) + ")")
+    dnf = dnf_expand(phi)
+    assert len(dnf.disjuncts) == 256
+    back = reconstruct(dnf)
+    assert S.check_language(back, "team") == 33
     T = Team.from_tuples((), [()])
-    for P in ((), (0,)):
-        A = Structure(2, {"P": frozenset((v,) for v in P)}, arities={"P": 1})
-        assert eval_team(A, T, back) is eval_team(A, T, phi) is bool(P)
+    for P, Q in itertools.product(((), (0,)), ((), (1,))):
+        relations = {"P": frozenset((v,) for v in P), "Q": frozenset((v,) for v in Q)}
+        A = Structure(2, relations, arities={"P": 1, "Q": 1})
+        assert eval_team(A, T, back) is eval_team(A, T, phi) is bool(P or Q)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +125,13 @@ def test_expand_forall_keeps_witnesses_existential():
     ]
 
 
-def test_expand_boolean_disjunction_multiplies_disjuncts():
-    assert _expansion("P(x) \\/ Q(x)") == [
-        ("top", ["!(top & top)"]),
-        ("!!P(x)", []),
-        ("!!Q(x)", []),
+def test_expand_boolean_disjunction_concatenates_disjuncts():
+    assert _expansion("P(x) \\/ Q(x)") == [("P(x)", []), ("Q(x)", [])]
+    assert len(dnf_expand(_t("P(x) \\/ Q(x) \\/ R(x,y)")).disjuncts) == 3
+    assert len(dnf_expand(_t("P(x) \\/ Q(x) \\/ R(x,y) \\/ x = y")).disjuncts) == 4
+    # the sides keep their own disjuncts: ~~P(x) has two
+    assert _expansion("(~~P(x)) \\/ Q(x)") == [
+        ("top", ["!top"]), ("!!P(x)", []), ("Q(x)", []),
     ]
 
 
@@ -138,16 +143,14 @@ def test_expand_rejects_dependency_atoms_and_foreign_languages():
 
 
 def test_expand_size_budget_is_enforced():
-    # Chained Boolean negations of splits multiply the disjunct count,
-    # so nesting twice is already past any small budget.
-    base = "P(x) \\/ Q(x)"
-    one = f"~((~({base})) & (~({base})))"
-    two = f"~((~({one})) & (~({one})))"
+    # A conjunction of k Boolean disjunctions has 2^k disjuncts, so four
+    # are already past a small budget.
+    product = " & ".join(["(P(x) \\/ Q(x))"] * 4)
     with pytest.raises(BudgetExceeded, match="size budget"):
-        dnf_expand(_t(two), size_budget=50)
-    # An adequate budget lets the single-level expansion finish.
-    done = dnf_expand(_t(one), size_budget=100_000)
-    assert len(done.disjuncts) == 1260
+        dnf_expand(_t(product), size_budget=50)
+    # An adequate budget lets the expansion finish.
+    done = dnf_expand(_t(product), size_budget=100_000)
+    assert len(done.disjuncts) == 16
 
 
 def test_expand_reconstruct_preserves_team_semantics():

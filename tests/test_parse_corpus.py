@@ -6,7 +6,9 @@ of each language, whole and cut short.  Each input's outcome -- the
 ``repr`` of the AST, or the error with its line and column -- is hashed
 in blocks of ``BLOCK`` inputs, and the block digests are pinned, so any
 change to what the parser accepts, builds or reports shows up here.
-Block i covers the inputs ``_corpus()[i * BLOCK:(i + 1) * BLOCK]``.
+Block i covers the inputs ``_corpus()[i * BLOCK:(i + 1) * BLOCK]``.  A
+second set of digests pins, for every input that parses, the measures
+of ``syntax`` and the printed text.
 """
 
 from __future__ import annotations
@@ -115,3 +117,41 @@ PINNED = [
 
 def test_parser_outcomes_match_the_pinned_corpus():
     assert _digests() == PINNED
+
+
+def _measures(phi: S.Formula) -> str:
+    return " ".join(str(value) for value in (
+        S.size(phi), S.width(phi), S.quantifier_rank(phi), S.modal_depth(phi),
+        sorted(S.free_vars(phi)), sorted(S.free_relation_vars(phi)),
+        sorted(S.free_function_vars(phi)), sorted(S.prop_names(phi)),
+        repr(S.format_formula(phi)),
+    ))
+
+
+def _measure_digests() -> list[str]:
+    """Block digests of the measures and printed text of every corpus
+    input that parses, in corpus order."""
+    vocabs = _vocabularies()
+    lines = []
+    for text, language, v in _corpus():
+        try:
+            phi = S.parse(text, language, vocabs[v])
+        except ValueError:
+            continue
+        lines.append(f"{text!r} {language} {v}: {_measures(phi)}")
+    return [
+        hashlib.sha256("\n".join(lines[i:i + BLOCK]).encode()).hexdigest()[:16]
+        for i in range(0, len(lines), BLOCK)
+    ]
+
+
+MEASURES_PINNED = [
+    "634e7942aae68ad3", "84ca17099cd5fe7c", "542fb100e05f5707", "31e0aabc9a5e58b2",
+    "0f3a412511080228", "6b6d7132c39cdd89", "d77db7f0f31fdc6a", "91e4a67ff0c48c4e",
+    "17ef9674f8db8aa9", "38d8c856f8500dd4", "95e585fad0e1207c", "6cb6e3ec1f4592fd",
+    "543347107a7fc48e",
+]
+
+
+def test_measures_and_printed_text_match_the_pinned_corpus():
+    assert _measure_digests() == MEASURES_PINNED

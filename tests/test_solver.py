@@ -112,11 +112,9 @@ def test_tiny_budget_reports_resource_exhaustion():
 
 
 def test_sat_fo2_size_budget_reports_resource_exhaustion():
-    base = "P(x) \\/ Q(x)"
-    one = f"~((~({base})) & (~({base})))"
-    two = f"~((~({one})) & (~({one})))"
+    product = " & ".join(["(P(x) \\/ Q(x))"] * 4)  # 16 disjuncts
     vocab = S.Vocabulary(predicates={"P": 1, "Q": 1})
-    outcome = sat_fo2(_t(two), vocab, size_budget=50)
+    outcome = sat_fo2(_t(product), vocab, size_budget=50)
     assert isinstance(outcome, ResourceExhausted)
     assert "size budget" in outcome.detail
 

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_mtl_formula, random_team_formula
+from helpers import (
+    DEEP_MTL_TEXTS,
+    distinct_nodes,
+    nested_iff,
+    random_mtl_formula,
+    random_team_formula,
+    recursion_limit,
+)
 from tlk import ParseError, format_formula, parse
 from tlk import syntax as S
 from tlk.syntax import (
@@ -408,3 +415,77 @@ def test_map_children_identity_rebuilds_every_node_class():
     assert {type(phi) for phi in instances} == set(_concrete_formula_classes())
     for phi in instances:
         assert S.map_children(phi, lambda c: c) == phi
+
+
+# ---------------------------------------------------------------------------
+# Passes over deep and shared formulas
+
+
+def _measures(phi):
+    return (
+        S.size(phi), S.width(phi), S.quantifier_rank(phi), S.modal_depth(phi),
+        S.free_vars(phi), S.all_vars(phi), S.free_relation_vars(phi),
+        S.free_function_vars(phi), S.prop_names(phi),
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_MTL_TEXTS))
+def test_measures_and_the_printer_take_any_depth(shape):
+    text = DEEP_MTL_TEXTS[shape]
+    phi = parse(text, "mtl")
+    size_ = {"chain": 5999, "~3000": 3001, "~6000": 6001, "<>3000": 3001, "<>6000": 6001}[shape]
+    with recursion_limit(750):
+        got = _measures(phi)
+        printed = format_formula(phi)
+    assert got == (size_, 0, 0, text.count("<>"), set(), set(), set(), set(), {"p"})
+    assert printed == text
+
+
+def test_measures_of_a_deep_first_order_chain():
+    text = " & ".join(["(E y. R(x,F(y)))"] * 3000)
+    phi = parse(text, "team")
+    with recursion_limit(750):
+        assert _measures(phi) == (8999, 2, 1, 0, {"x"}, {"x", "y"}, set(), {"F"}, set())
+        assert format_formula(phi) == text
+    so = parse(" & ".join(["(E2 X:1. X(x) | V(x))"] * 3000), "so", Vocabulary({"P": 1}))
+    with recursion_limit(750):
+        assert S.free_relation_vars(so) == {"V"}
+        assert S.quantifier_rank(so) == 1
+
+
+def test_fold_combines_each_distinct_node_once(monkeypatch):
+    # to_nnf of nested <-> shares each side between the two halves: its
+    # tree doubles with every level, its distinct nodes grow linearly
+    from tlk.so_bridge import to_nnf
+
+    nnf = to_nnf(nested_iff(18))
+    distinct = distinct_nodes(nnf)
+    assert distinct == 143
+    calls = []
+    fold = S.fold
+
+    def counting(phi, combine, *operands):
+        return fold(phi, lambda node, below: calls.append(node) or combine(node, below), *operands)
+
+    monkeypatch.setattr(S, "fold", counting)
+    for measure, value in [
+        (S.size, 1966074), (S.free_vars, {"x"}), (S.quantifier_rank, 0), (S.width, 1),
+        (S.modal_depth, 0), (S.free_relation_vars, set()), (S.prop_names, set()),
+    ]:
+        calls.clear()
+        assert measure(nnf) == value
+        assert len(calls) == len({id(node) for node in calls}) == distinct
+
+
+def test_language_checks_visit_a_shared_node_once_per_level(monkeypatch):
+    from tlk.so_bridge import to_nnf
+
+    nnf = to_nnf(nested_iff(18))
+    visits = []
+    children = S.children
+    monkeypatch.setattr(S, "children", lambda phi: visits.append(phi) or children(phi))
+    height = S.check_language(nnf, "so")
+    assert height == 38
+    # at most every distinct node on every level, where the tree has
+    # about two million nodes
+    assert len(visits) <= distinct_nodes(nnf) * height

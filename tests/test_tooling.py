@@ -114,3 +114,65 @@ def test_benchmark_wraps_names_the_program_calls():
     assert missing == []
     uncalled = [(module, name) for module, name in checked if name not in _called_names(module)]
     assert uncalled == []
+
+
+# Every function of the package that calls itself, with the bound that
+# keeps its recursion inside Python's limit.  The syntax passes run on
+# ``syntax.fold``'s explicit stack and take formulas of any depth, so a
+# new self-recursive function fails the test below until its bound is
+# stated here.
+_RECURSIVE = {
+    # terms and formulas the parser nests at most MAX_TEAM_DEPTH deep,
+    # and that _Prepared refuses past that depth
+    "evaluator.eval_fo": "MAX_TEAM_DEPTH",
+    "evaluator.eval_ml": "MAX_TEAM_DEPTH",
+    "structures.eval_term": "MAX_TEAM_DEPTH",
+    "syntax.term_vars": "MAX_TEAM_DEPTH",
+    "syntax.term_functions": "MAX_TEAM_DEPTH",
+    # the second-order passes refuse formulas past MAX_DEPTH
+    "so_bridge._nnf": "MAX_DEPTH",
+    "so_bridge._eta": "MAX_DEPTH",
+    "so_bridge._eval_so_term": "MAX_DEPTH",
+    "syntax._shallow": "40 levels",
+    "syntax.ovee_all": "logarithmic in the number of disjuncts",
+    "syntax.pred_names": "one level, into a dependency's defining sentence",
+    # open: ROADMAP item 8 (a deep formula ends in RecursionError, which
+    # the command line maps to exit 2)
+    "normal_form._Expander.expand": "none yet",
+}
+
+
+def _self_calls(tree: ast.Module):
+    """The qualified names of the functions that call themselves by name
+    (methods through ``self``)."""
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, scope + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                for sub in ast.walk(child):
+                    if not isinstance(sub, ast.Call):
+                        continue
+                    f = sub.func
+                    if (not in_class and isinstance(f, ast.Name) and f.id == name) or (
+                        in_class and isinstance(f, ast.Attribute) and f.attr == name
+                        and isinstance(f.value, ast.Name) and f.value.id == "self"
+                    ):
+                        yield ".".join(scope + [name])
+                        break
+                yield from visit(child, scope + [name], False)
+            else:
+                yield from visit(child, scope, in_class)
+
+    return set(visit(tree, [], False))
+
+
+def test_self_recursive_functions_are_the_allowed_ones():
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _self_calls(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == set(_RECURSIVE)
